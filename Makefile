@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short race bench experiments fuzz fmt fmtcheck vet faultcheck serve dynamic obscheck chaoscheck clustercheck partcheck wirecheck check clean
+.PHONY: all build test test-short race bench experiments fuzz fmt fmtcheck vet faultcheck serve dynamic obscheck chaoscheck clustercheck partcheck wirecheck servebench check clean
 
 all: build vet test
 
@@ -16,6 +16,8 @@ test-short:
 race:
 	$(GO) test -race ./...
 
+# The root benchmarks, including BenchmarkArtifactBuild and
+# BenchmarkDeltaApply: the cost of one generation rebuild at n=5000.
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -140,10 +142,16 @@ wirecheck:
 	$(GO) test -run 'CrossTransport|LoadgenWire' -race -count=1 ./cmd/spannerd/
 	$(GO) test -run TestWireDistZeroAlloc -count=1 ./client/
 
+# The serving benchmark's own tests (a separate module under servebench/):
+# tiny runs of every workload, the answer checks and the replay cache state.
+servebench:
+	cd servebench && $(GO) test .
+
 # The full gate: build, vet, unit tests, then the robustness, serving,
 # dynamic, observability, serving-resilience, cluster-serving,
-# partitioned-serving and binary-transport suites.
-check: build vet test faultcheck serve dynamic obscheck chaoscheck clustercheck partcheck wirecheck
+# partitioned-serving and binary-transport suites, and the serving
+# benchmark's tests.
+check: build vet test faultcheck serve dynamic obscheck chaoscheck clustercheck partcheck wirecheck servebench
 
 clean:
 	$(GO) clean ./...

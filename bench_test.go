@@ -1096,6 +1096,76 @@ func BenchmarkArtifactCodec(b *testing.B) {
 	})
 }
 
+// generationWorkload is the generation-change workload: G(n,p) at n=5000
+// with average degree 16, the serving benchmark's graph. Building the
+// oracle and routing scheme does not read the spanner, so a Baswana–Sen
+// spanner stands in for the skeleton.
+func generationWorkload(b *testing.B) (*Graph, *EdgeSet) {
+	b.Helper()
+	g, err := MakeWorkload("gnp", 5000, 16, NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := BaswanaSen(g, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, res.Spanner
+}
+
+// Generation rebuild: one BuildArtifact (oracle with k=3 plus routing
+// scheme) at n=5000, the kernel every generation change replays.
+func BenchmarkArtifactBuild(b *testing.B) {
+	g, s := generationWorkload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := BuildArtifact(g, s, "baswana-sen", 3, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkArt = a
+	}
+}
+
+// Generation change: applying a 32-update delta to a base at n=5000 —
+// the patch, the base checksum check and the oracle/routing rebuild.
+func BenchmarkDeltaApply(b *testing.B) {
+	g, s := generationWorkload(b)
+	base, err := BuildArtifact(g, s, "baswana-sen", 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewDynamicMaintainer(g, s, DynamicConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream, err := GenerateUpdateStream(g, UpdateStreamConfig{Seed: 2, Batches: 1, BatchSize: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.ApplyBatch(stream[0]); err != nil {
+		b.Fatal(err)
+	}
+	next, err := BuildArtifact(m.Graph(), m.Spanner(), "baswana-sen", 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := DiffArtifacts(base, next)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := d.Apply(base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkArt = a
+	}
+}
+
 // Dynamic maintenance: amortized per-batch cost of the incremental
 // maintainer (witness-certificate filtering + localized repair) against
 // rebuilding a spanner of the repair stretch class from scratch. The

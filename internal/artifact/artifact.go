@@ -20,7 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 
 	"spanner/internal/graph"
 	"spanner/internal/oracle"
@@ -62,6 +62,8 @@ type Artifact struct {
 	Spanner *graph.EdgeSet
 	Oracle  *oracle.Oracle
 	Routing *routing.Scheme
+
+	sum checksumMemo
 }
 
 // Build assembles an artifact from a finished spanner construction: it
@@ -110,7 +112,7 @@ func (a *Artifact) Words() []int64 {
 	w = append(w, int64(n), int64(m))
 	a.Graph.ForEachEdge(func(u, v int32) { w = append(w, graph.EdgeKey(u, v)) })
 	spk := a.Spanner.Keys()
-	sort.Slice(spk, func(i, j int) bool { return spk[i] < spk[j] })
+	slices.Sort(spk)
 	w = append(w, int64(len(spk)))
 	w = append(w, spk...)
 	w = append(w, int64(len(ow)))
@@ -178,7 +180,9 @@ func (r *reader) slice(n int) []int64 {
 
 // Unmarshal decodes artifact bytes produced by Marshal. All failures are
 // typed (ErrTruncated, ErrChecksum, ErrMagic, ErrVersion, ErrCorrupt or a
-// wrapped section error); malformed input never panics.
+// wrapped section error); malformed input never panics. Decoding is
+// canonical: every accepted input is exactly what Marshal writes for the
+// decoded artifact, so the verified footer is its Checksum.
 func Unmarshal(data []byte) (*Artifact, error) {
 	if len(data)%8 != 0 || len(data) < 8*8 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
@@ -230,7 +234,7 @@ func Unmarshal(data []byte) (*Artifact, error) {
 			return nil, r.err
 		}
 		u, v := graph.UnpackEdgeKey(key)
-		if key <= prev || u < 0 || v < 0 || int64(u) >= n || int64(v) >= n || u == v {
+		if key <= prev || u < 0 || u >= v || int64(v) >= n {
 			return nil, fmt.Errorf("%w: graph edge key %d at index %d", ErrCorrupt, key, i)
 		}
 		prev = key
@@ -252,7 +256,7 @@ func Unmarshal(data []byte) (*Artifact, error) {
 			return nil, r.err
 		}
 		u, v := graph.UnpackEdgeKey(key)
-		if key <= prev || u < 0 || v < 0 || int64(u) >= n || int64(v) >= n || u == v {
+		if key <= prev || u < 0 || u >= v || int64(v) >= n {
 			return nil, fmt.Errorf("%w: spanner edge key %d at index %d", ErrCorrupt, key, i)
 		}
 		if !a.Graph.HasEdge(u, v) {
@@ -273,9 +277,13 @@ func Unmarshal(data []byte) (*Artifact, error) {
 	if a.Oracle, err = oracle.FromWords(a.Graph, ow); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	if a.Oracle.K() != a.K {
+		return nil, fmt.Errorf("%w: oracle k=%d, header k=%d", ErrCorrupt, a.Oracle.K(), a.K)
+	}
 	if a.Routing, err = routing.FromWords(a.Graph, rw); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	a.sum.once.Do(func() { a.sum.v = sum })
 	return a, nil
 }
 

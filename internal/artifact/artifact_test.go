@@ -1,10 +1,12 @@
 package artifact
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"spanner/internal/graph"
@@ -154,6 +156,62 @@ func TestTypedDecodeErrors(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.art")); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// flippedEdgeKey returns a copy of an artifact word stream whose last graph
+// edge key (u,v) is rewritten as (v,u): still strictly increasing, but not
+// the canonical u<v form Marshal writes.
+func flippedEdgeKey(words []int64) []int64 {
+	w := append([]int64(nil), words...)
+	last := 5 + int(w[4]) + 2 + int(w[5+int(w[4])+1]) - 1
+	u, v := graph.UnpackEdgeKey(w[last])
+	w[last] = int64(v)<<32 | int64(u)
+	return w
+}
+
+// TestDecodeCanonical pins the canonical-decode contract the checksum memo
+// relies on: a non-canonical stream behind a valid checksum is rejected,
+// and a decoded artifact's Checksum is the footer it was verified against.
+func TestDecodeCanonical(t *testing.T) {
+	a := testArtifact(t, 60, 2, 3)
+	if _, err := Unmarshal(wordsToBytes(flippedEdgeKey(a.Words()))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("non-canonical graph edge key: got %v, want ErrCorrupt", err)
+	}
+	data := a.Marshal()
+	b, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Marshal(), data) {
+		t.Fatal("decoded artifact re-marshals to different bytes")
+	}
+	want := fnvWords(a.Words())
+	if b.Checksum() != want || a.Checksum() != want {
+		t.Fatalf("Checksum: decoded %#x, built %#x, want %#x", b.Checksum(), a.Checksum(), want)
+	}
+}
+
+// TestChecksumConcurrent calls Checksum from several goroutines on a fresh
+// artifact; under -race this checks the memo, and every caller must see
+// the same value.
+func TestChecksumConcurrent(t *testing.T) {
+	a := testArtifact(t, 80, 2, 4)
+	want := fnvWords(a.Words())
+	var wg sync.WaitGroup
+	sums := make([]int64, 8)
+	for i := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[i] = a.Checksum()
+		}()
+	}
+	wg.Wait()
+	for i, got := range sums {
+		if got != want {
+			t.Fatalf("caller %d: Checksum %#x, want %#x", i, got, want)
+		}
 	}
 }
 

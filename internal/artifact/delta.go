@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"sync"
 
 	"spanner/internal/graph"
 	"spanner/internal/oracle"
@@ -66,8 +67,20 @@ func (d *Delta) Updates() int {
 
 // Checksum returns the FNV-1a checksum of the artifact's word stream — the
 // generation identity deltas bind to. Two artifacts have equal checksums
-// iff they marshal to identical bytes.
-func (a *Artifact) Checksum() int64 { return fnvWords(a.Words()) }
+// iff they marshal to identical bytes. The value is computed at most once
+// per artifact (Unmarshal stamps it from the footer it verified), so an
+// artifact must not be mutated once built or decoded.
+func (a *Artifact) Checksum() int64 {
+	a.sum.once.Do(func() { a.sum.v = fnvWords(a.Words()) })
+	return a.sum.v
+}
+
+// checksumMemo holds an artifact's checksum once computed; the zero value
+// is empty and safe for concurrent use.
+type checksumMemo struct {
+	once sync.Once
+	v    int64
+}
 
 // Diff computes the single-segment delta that patches base into next. Both
 // artifacts must be over the same vertex count; oracle and routing words
@@ -105,10 +118,10 @@ func Diff(base, next *Artifact) (*Delta, error) {
 			seg.SpanDel = append(seg.SpanDel, graph.EdgeKey(u, v))
 		}
 	})
-	sortInt64(seg.GraphAdd)
-	sortInt64(seg.GraphDel)
-	sortInt64(seg.SpanAdd)
-	sortInt64(seg.SpanDel)
+	slices.Sort(seg.GraphAdd)
+	slices.Sort(seg.GraphDel)
+	slices.Sort(seg.SpanAdd)
+	slices.Sort(seg.SpanDel)
 	return &Delta{BaseSum: base.Checksum(), Segments: []DeltaSegment{seg}}, nil
 }
 
@@ -319,8 +332,4 @@ func LoadDelta(path string) (*Delta, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil
-}
-
-func sortInt64(ks []int64) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 }

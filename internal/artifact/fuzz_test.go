@@ -1,14 +1,17 @@
 package artifact
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
 
 // FuzzArtifactDecode asserts the decode contract: Unmarshal never panics,
-// and every failure is one of the package's typed errors. Seeds include a
-// valid artifact (so the fuzzer starts deep inside the format), every
-// prefix-truncation class, and version/magic skew.
+// every failure is one of the package's typed errors, and decoding is
+// canonical — every accepted input re-marshals to exactly its own bytes.
+// Seeds include a valid artifact (so the fuzzer starts deep inside the
+// format), every prefix-truncation class, version/magic skew, and a
+// resealed non-canonical graph edge key.
 func FuzzArtifactDecode(f *testing.F) {
 	a := testArtifact(f, 40, 2, 1)
 	valid := a.Marshal()
@@ -23,6 +26,7 @@ func FuzzArtifactDecode(f *testing.F) {
 	junk := append([]byte(nil), valid...)
 	junk[0] ^= 0xff // magic word
 	f.Add(junk)
+	f.Add(wordsToBytes(flippedEdgeKey(a.Words())))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := Unmarshal(data)
@@ -30,9 +34,8 @@ func FuzzArtifactDecode(f *testing.F) {
 			if b == nil || b.Graph == nil || b.Spanner == nil || b.Oracle == nil || b.Routing == nil {
 				t.Fatal("nil-field artifact decoded without error")
 			}
-			// A successfully decoded artifact must re-marshal cleanly.
-			if len(b.Marshal()) == 0 {
-				t.Fatal("decoded artifact re-marshals to nothing")
+			if !bytes.Equal(b.Marshal(), data) {
+				t.Fatal("decoded artifact re-marshals to different bytes")
 			}
 			return
 		}

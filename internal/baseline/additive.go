@@ -99,13 +99,13 @@ func Additive2(g *graph.Graph, seed int64) *Additive2Result {
 		}
 	}
 
-	// One BFS tree per dominator.
+	// One BFS tree per dominator, over one reused scratch.
+	dist, parent := make([]int32, n), make([]int32, n)
+	var reached []int32
 	for _, w := range res.Dominators {
-		_, parent := g.BFSWithParents(w)
-		for v := int32(0); int(v) < n; v++ {
-			if parent[v] != graph.Unreachable && parent[v] != v {
-				res.Spanner.Add(v, parent[v])
-			}
+		reached = g.BFSInto(w, dist, parent, reached)
+		for _, v := range reached {
+			res.Spanner.Add(v, parent[v]) // the root's self-loop is ignored
 		}
 	}
 	// Dominators must also reach their heavy neighbors directly (the +1

@@ -7,15 +7,44 @@ const Unreachable int32 = -1
 // BFS computes single-source shortest-path distances from src.
 // dist[v] == Unreachable for vertices in other components.
 func (g *Graph) BFS(src int32) []int32 {
-	dist, _, _ := g.MultiSourceBFS([]int32{src})
+	dist, _ := g.BFSWithParents(src)
 	return dist
 }
 
 // BFSWithParents computes distances and a shortest-path tree from src.
 // parent[src] == src; parent[v] == Unreachable for unreached v.
 func (g *Graph) BFSWithParents(src int32) (dist, parent []int32) {
-	dist, _, parent = g.MultiSourceBFS([]int32{src})
+	n := g.N()
+	dist, parent = make([]int32, n), make([]int32, n)
+	g.BFSInto(src, dist, parent, make([]int32, 0, n))
 	return dist, parent
+}
+
+// BFSInto is the single-source FIFO kernel behind BFSWithParents, writing
+// into caller-owned slices so repeated searches reuse their scratch. dist
+// and parent must have length N; their previous contents are overwritten.
+// parent[v] is the first dequeued neighbor of v, which is the tree
+// MultiSourceBFS builds from the single source src. queue is scratch; the
+// returned slice holds the reached vertices in BFS order and can be passed
+// back in as the next call's queue.
+func (g *Graph) BFSInto(src int32, dist, parent, queue []int32) []int32 {
+	for i := range dist {
+		dist[i] = Unreachable
+		parent[i] = Unreachable
+	}
+	dist[src], parent[src] = 0, src
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u] + 1
+		for _, v := range g.Neighbors(u) {
+			if dist[v] == Unreachable {
+				dist[v], parent[v] = du, u
+				queue = append(queue, v)
+			}
+		}
+	}
+	return queue
 }
 
 // MultiSourceBFS runs a breadth-first search from all sources at once.

@@ -297,6 +297,39 @@ func bruteDistances(g *Graph) [][]int32 {
 	return out
 }
 
+// TestBFSWithParentsMatchesMultiSource pins the single-source kernel to
+// MultiSourceBFS from the same source: identical distances and parents,
+// also when BFSInto reuses scratch left dirty by an earlier search.
+func TestBFSWithParentsMatchesMultiSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 10; trial++ {
+		g := Gnp(80, 0.05, rng)
+		dist, parent := make([]int32, g.N()), make([]int32, g.N())
+		var queue []int32
+		for src := int32(0); int(src) < g.N(); src++ {
+			wantDist, _, wantParent := g.MultiSourceBFS([]int32{src})
+			gotDist, gotParent := g.BFSWithParents(src)
+			queue = g.BFSInto(src, dist, parent, queue)
+			for v := range wantDist {
+				if gotDist[v] != wantDist[v] || gotParent[v] != wantParent[v] ||
+					dist[v] != wantDist[v] || parent[v] != wantParent[v] {
+					t.Fatalf("trial %d src %d vertex %d: dist/parent %d/%d and %d/%d, want %d/%d",
+						trial, src, v, gotDist[v], gotParent[v], dist[v], parent[v], wantDist[v], wantParent[v])
+				}
+			}
+			reached := 0
+			for _, d := range wantDist {
+				if d != Unreachable {
+					reached++
+				}
+			}
+			if len(queue) != reached {
+				t.Fatalf("trial %d src %d: BFSInto returned %d vertices, %d reached", trial, src, len(queue), reached)
+			}
+		}
+	}
+}
+
 func TestMultiSourceBFSMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 20; trial++ {

@@ -2,7 +2,7 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"spanner/internal/graph"
 )
@@ -12,6 +12,9 @@ import (
 // structure is a length-prefixed int64 stream, map contents are emitted in
 // sorted key order so the stream is deterministic, and decoding is
 // bounds-checked so corrupt input returns an error instead of panicking.
+// Decoding is canonical: it accepts only streams Words could have written
+// (bunch and spanner keys strictly increasing, every value in range), so a
+// decoded oracle re-encodes to exactly the words it came from.
 // The graph itself is not part of the stream — the serving artifact carries
 // it once and passes it back to FromWords.
 
@@ -39,14 +42,14 @@ func (o *Oracle) Words() []int64 {
 		for u := range b {
 			keys = append(keys, u)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		w = append(w, int64(len(keys)))
 		for _, u := range keys {
 			w = append(w, int64(u), int64(b[u]))
 		}
 	}
 	spk := o.spanner.Keys()
-	sort.Slice(spk, func(i, j int) bool { return spk[i] < spk[j] })
+	slices.Sort(spk)
 	w = append(w, int64(len(spk)))
 	w = append(w, spk...)
 	return w
@@ -120,8 +123,12 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 		o.witness[i] = make([]int32, n)
 		o.distTo[i] = make([]int32, n)
 		for v := 0; v < n; v++ {
-			o.witness[i][v] = int32(r.get())
-			o.distTo[i][v] = int32(r.get())
+			wit, d := r.get(), r.get()
+			if r.err == nil && (!inRange(wit, n) || !inRange(d, n)) {
+				return nil, fmt.Errorf("oracle: level %d witness/distance of %d out of range: %d/%d", i, v, wit, d)
+			}
+			o.witness[i][v] = int32(wit)
+			o.distTo[i][v] = int32(d)
 		}
 	}
 	if r.err != nil {
@@ -138,23 +145,28 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 			}
 			continue
 		}
-		if int(c)*2 > len(words)-r.pos {
+		if c > int64(len(words)-r.pos)/2 {
 			return nil, fmt.Errorf("oracle: truncated bunch of vertex %d", v)
 		}
 		b := make(map[int32]int32, c)
-		for j := int64(0); j < c; j++ {
-			u := int32(r.get())
-			b[u] = int32(r.get())
+		for j, prev := int64(0), int64(-1); j < c; j++ {
+			u, d := r.get(), r.get()
+			if u <= prev || u >= int64(n) || d < 0 || d >= int64(n) {
+				return nil, fmt.Errorf("oracle: bunch entry %d of vertex %d not sorted in range: %d at %d", j, v, u, d)
+			}
+			prev = u
+			b[int32(u)] = int32(d)
 		}
 		o.bunch[v] = b
 	}
 	ne := r.count()
-	for i := 0; i < ne; i++ {
+	for i, prev := 0, int64(-1); i < ne; i++ {
 		key := r.get()
 		u, v := graph.UnpackEdgeKey(key)
-		if u < 0 || v < 0 || int(u) >= n || int(v) >= n || u == v {
-			return nil, fmt.Errorf("oracle: spanner edge (%d,%d) out of range", u, v)
+		if key <= prev || u < 0 || u >= v || int(v) >= n {
+			return nil, fmt.Errorf("oracle: spanner edge key %d not sorted canonical in range", key)
 		}
+		prev = key
 		o.spanner.AddKey(key)
 	}
 	if r.err != nil {
@@ -164,4 +176,10 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 		return nil, fmt.Errorf("oracle: %d trailing words", len(words)-r.pos)
 	}
 	return o, nil
+}
+
+// inRange reports whether x is graph.Unreachable or a value in [0, n) —
+// a vertex or a distance.
+func inRange(x int64, n int) bool {
+	return x >= int64(graph.Unreachable) && x < int64(n)
 }

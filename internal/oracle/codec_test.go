@@ -79,3 +79,46 @@ func TestCodecRejectsCorruptStreams(t *testing.T) {
 		t.Fatal("trailing words must error")
 	}
 }
+
+// TestCodecRejectsNonCanonical checks that FromWords accepts only streams
+// Words could have written: reordered or duplicated bunch keys, reordered
+// spanner keys and values that do not fit an int32 would all decode to an
+// oracle whose Words differ from its input, so each must error.
+func TestCodecRejectsNonCanonical(t *testing.T) {
+	g := graph.ConnectedGnp(60, 0.1, rand.New(rand.NewSource(8)))
+	o, err := New(g, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := o.Words()
+	n := g.N()
+	// Find the first bunch with at least two entries.
+	pos := 2 + n + 2*o.K()*n
+	for words[pos] < 2 {
+		pos += 1 + 2*max(int(words[pos]), 0)
+	}
+	first := pos + 1 // key of the bunch's first entry
+	// The spanner section follows the n bunches.
+	spanKeys := 2 + n + 2*o.K()*n
+	for v := 0; v < n; v++ {
+		spanKeys += 1 + 2*max(int(words[spanKeys]), 0)
+	}
+	spanKeys++ // skip the spanner length word
+
+	cases := map[string]func(w []int64){
+		"bunch keys swapped": func(w []int64) {
+			w[first], w[first+2] = w[first+2], w[first]
+			w[first+1], w[first+3] = w[first+3], w[first+1]
+		},
+		"bunch key duplicated": func(w []int64) { w[first+2] = w[first] },
+		"spanner keys swapped": func(w []int64) { w[spanKeys], w[spanKeys+1] = w[spanKeys+1], w[spanKeys] },
+		"witness beyond int32": func(w []int64) { w[2+n] += 1 << 32 },
+	}
+	for name, corrupt := range cases {
+		bad := append([]int64(nil), words...)
+		corrupt(bad)
+		if _, err := FromWords(g, bad); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}

@@ -114,74 +114,71 @@ func New(g *graph.Graph, k int, seed int64) (*Oracle, error) {
 
 	// Bunches: for w ∈ A_i \ A_{i+1}, flood w's cluster
 	// C(w) = {v : δ(v,w) < δ(v,A_{i+1})} with the pruned BFS, recording
-	// distances (and path edges into the spanner).
+	// distances (and path edges into the spanner). Every vertex is a source
+	// at exactly one level, so one seen scratch stamped by source serves
+	// every level without a reset.
+	seen := make([]int32, n)
+	queue := make([]int32, 0, n)
 	for i := 0; i < k; i++ {
-		var sources []int32
-		for _, v := range levelSets[i] {
-			if int(o.level[v]) == i {
-				sources = append(sources, v)
-			}
-		}
 		var nextDist []int32
 		if i+1 < k {
 			nextDist = o.distTo[i+1]
 		}
-		o.floodClusters(sources, nextDist)
+		for _, w := range levelSets[i] {
+			if int(o.level[w]) == i {
+				queue = o.floodCluster(w, nextDist, seen, queue)
+			}
+		}
 	}
 	return o, nil
 }
 
-// floodClusters grows the cluster of every source simultaneously with the
-// Thorup–Zwick pruning rule and records bunch entries plus path edges.
-func (o *Oracle) floodClusters(sources []int32, nextDist []int32) {
-	type entry struct{ x, w int32 }
-	type info struct {
-		d   int32
-		via int32
-	}
-	tokens := make(map[int64]info) // key: x<<32|w
-	key := func(x, w int32) int64 { return int64(x)<<32 | int64(w) }
-	var frontier []entry
-	blocked := func(x int32, d int32) bool {
+// floodCluster grows w's cluster with a FIFO BFS under the Thorup–Zwick
+// pruning rule — y is entered at distance d only if d < δ(y, A_{i+1}),
+// given by nextDist (nil at the top level) — and records a bunch entry
+// plus the BFS tree edge for every vertex reached. Clusters are
+// independent (pruning depends only on the vertex and its distance), so
+// flooding them one at a time yields the same entries, distances and
+// parents as flooding a level's sources together. seen[y] == w+1 marks y
+// as reached; queue is scratch and is returned for reuse.
+func (o *Oracle) floodCluster(w int32, nextDist, seen, queue []int32) []int32 {
+	blocked := func(x, d int32) bool {
 		if nextDist == nil {
 			return false
 		}
 		nd := nextDist[x]
 		return nd != graph.Unreachable && nd <= d
 	}
-	for _, w := range sources {
-		if blocked(w, 0) {
-			continue
-		}
-		tokens[key(w, w)] = info{d: 0, via: -1}
-		frontier = append(frontier, entry{x: w, w: w})
+	if blocked(w, 0) {
+		return queue
 	}
-	for d := int32(1); len(frontier) > 0; d++ {
-		var next []entry
-		for _, e := range frontier {
-			for _, y := range o.g.Neighbors(e.x) {
-				if blocked(y, d) {
+	stamp := w + 1
+	seen[w] = stamp
+	o.addBunch(w, w, 0)
+	queue = append(queue[:0], w)
+	for head, d := 0, int32(1); head < len(queue); d++ {
+		for levelEnd := len(queue); head < levelEnd; head++ {
+			x := queue[head]
+			for _, y := range o.g.Neighbors(x) {
+				if seen[y] == stamp || blocked(y, d) {
 					continue
 				}
-				if _, ok := tokens[key(y, e.w)]; ok {
-					continue
-				}
-				tokens[key(y, e.w)] = info{d: d, via: e.x}
-				next = append(next, entry{x: y, w: e.w})
+				seen[y] = stamp
+				o.addBunch(y, w, d)
+				o.spanner.Add(y, x)
+				queue = append(queue, y)
 			}
 		}
-		frontier = next
 	}
-	for kk, inf := range tokens {
-		x, w := int32(kk>>32), int32(kk&0xffffffff)
-		if o.bunch[x] == nil {
-			o.bunch[x] = make(map[int32]int32, 4)
-		}
-		o.bunch[x][w] = inf.d
-		if inf.via >= 0 {
-			o.spanner.Add(x, inf.via)
-		}
+	return queue
+}
+
+// addBunch records w ∈ B(x) at distance d.
+func (o *Oracle) addBunch(x, w, d int32) {
+	if o.bunch[x] == nil {
+		o.bunch[x] = make(map[int32]int32, 4)
 	}
+	o.bunch[x][w] = d
 }
 
 // Query returns an estimate of δ(u,v) with stretch at most 2k−1, or

@@ -2,7 +2,7 @@ package routing
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"spanner/internal/graph"
 )
@@ -13,8 +13,11 @@ import (
 // irreducible state is serialized — the landmark set, the per-tree BFS
 // parent arrays, the vicinity-ball tables and the addresses; DFS intervals
 // and children lists are recomputed deterministically on decode (the same
-// dfsIntervals call New makes), so a decoded scheme's NextHop and Route
-// decisions are identical to the encoded one's.
+// tree.index call New makes), so a decoded scheme's NextHop and Route
+// decisions are identical to the encoded one's. Decoding is canonical: it
+// accepts only streams Words could have written (direct-table keys strictly
+// increasing, addresses consistent with the trees), so a decoded scheme
+// re-encodes to exactly the words it came from.
 
 // Words serializes the scheme (everything except the graph) to a flat word
 // stream. Encoding the same scheme twice yields identical streams.
@@ -28,7 +31,7 @@ func (s *Scheme) Words() []int64 {
 	}
 	for i := 0; i < t; i++ {
 		for v := 0; v < n; v++ {
-			w = append(w, int64(s.toLandmark[i][v]))
+			w = append(w, int64(s.trees[i].parent[v]))
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -41,7 +44,7 @@ func (s *Scheme) Words() []int64 {
 		for u := range d {
 			keys = append(keys, u)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		w = append(w, int64(len(keys)))
 		for _, u := range keys {
 			w = append(w, int64(u), int64(d[u]))
@@ -89,14 +92,11 @@ func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
 		return nil, fmt.Errorf("routing: implausible landmark count %d", t)
 	}
 	s := &Scheme{
-		g:            g,
-		landmarkIdx:  make(map[int32]int, t),
-		toLandmark:   make([][]int32, t),
-		treeDFS:      make([][]int32, t),
-		treeEnd:      make([][]int32, t),
-		treeChildren: make([][][]int32, t),
-		direct:       make([]map[int32]int32, n),
-		addr:         make([]Address, n),
+		g:           g,
+		landmarkIdx: make(map[int32]int, t),
+		trees:       make([]tree, t),
+		direct:      make([]map[int32]int32, n),
+		addr:        make([]Address, n),
 	}
 	s.landmarks = make([]int32, t)
 	for i := 0; i < t; i++ {
@@ -119,18 +119,17 @@ func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
 			}
 			parent[v] = int32(p)
 		}
-		s.toLandmark[i] = parent
+		if r.err == nil && parent[s.landmarks[i]] != s.landmarks[i] {
+			return nil, fmt.Errorf("routing: tree %d root %d is not its own parent", i, s.landmarks[i])
+		}
+		s.trees[i].parent = parent
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	// Rebuild the DFS intervals exactly as New does; the parents fully
-	// determine them.
+	// Rebuild the DFS intervals exactly as New does.
 	for i, l := range s.landmarks {
-		dfs, end, children := dfsIntervals(n, l, s.toLandmark[i])
-		s.treeDFS[i] = dfs
-		s.treeEnd[i] = end
-		s.treeChildren[i] = children
+		s.trees[i].index(l)
 	}
 	for v := 0; v < n; v++ {
 		c := r.get()
@@ -143,17 +142,20 @@ func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
 			}
 			continue
 		}
-		if c*2 > int64(len(words)-r.pos) {
+		if c > int64(len(words)-r.pos)/2 {
 			return nil, fmt.Errorf("routing: truncated table of vertex %d", v)
 		}
 		d := make(map[int32]int32, c)
-		for j := int64(0); j < c; j++ {
-			u := int32(r.get())
-			hop := r.get()
-			if r.err == nil && (hop < 0 || int(hop) >= n) {
+		for j, prev := int64(0), int64(-1); j < c; j++ {
+			u, hop := r.get(), r.get()
+			if u <= prev || u >= int64(n) {
+				return nil, fmt.Errorf("routing: table key %d of vertex %d not sorted in range", u, v)
+			}
+			if hop < 0 || hop >= int64(n) {
 				return nil, fmt.Errorf("routing: next hop %d out of range", hop)
 			}
-			d[u] = int32(hop)
+			prev = u
+			d[int32(u)] = int32(hop)
 		}
 		s.direct[v] = d
 	}
@@ -163,10 +165,16 @@ func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
+		want := int64(0) // an address without a landmark has DFS 0
 		if l != int64(graph.Unreachable) {
-			if _, ok := s.landmarkIdx[int32(l)]; !ok {
+			t, ok := s.landmarkIdx[int32(l)]
+			if !ok || l != int64(s.landmarks[t]) {
 				return nil, fmt.Errorf("routing: address of %d names non-landmark %d", v, l)
 			}
+			want = int64(s.trees[t].dfs[v])
+		}
+		if dfs != want {
+			return nil, fmt.Errorf("routing: address of %d has DFS %d, its tree says %d", v, dfs, want)
 		}
 		s.addr[v] = Address{V: int32(v), Landmark: int32(l), DFS: int32(dfs)}
 	}
@@ -204,7 +212,7 @@ func (s *Scheme) LandmarkDistances() [][]int32 {
 			continue
 		}
 		depth[l] = 0
-		parent := s.toLandmark[t]
+		parent := s.trees[t].parent
 		chain := make([]int32, 0, 64)
 		for v := int32(0); int(v) < n; v++ {
 			if depth[v] != graph.Unreachable || parent[v] == graph.Unreachable {

@@ -108,3 +108,46 @@ func TestLandmarkDistancesExact(t *testing.T) {
 		}
 	}
 }
+
+// TestCodecRejectsNonCanonical checks that FromWords accepts only streams
+// Words could have written: reordered or duplicated direct-table keys, an
+// address whose DFS index disagrees with its landmark's tree, and a tree
+// whose root is not its own parent must all error.
+func TestCodecRejectsNonCanonical(t *testing.T) {
+	g := graph.ConnectedGnp(80, 0.06, rand.New(rand.NewSource(9)))
+	s, err := New(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := s.Words()
+	n, lm := g.N(), len(s.Landmarks())
+	// Find the first direct table with at least two entries.
+	tables := 2 + lm + lm*n
+	pos := tables
+	for words[pos] < 2 {
+		pos += 1 + 2*max(int(words[pos]), 0)
+	}
+	first := pos + 1 // key of the table's first entry
+	addrs := tables
+	for v := 0; v < n; v++ {
+		addrs += 1 + 2*max(int(words[addrs]), 0)
+	}
+	root := s.Landmarks()[0]
+
+	cases := map[string]func(w []int64){
+		"table keys swapped": func(w []int64) {
+			w[first], w[first+2] = w[first+2], w[first]
+			w[first+1], w[first+3] = w[first+3], w[first+1]
+		},
+		"table key duplicated": func(w []int64) { w[first+2] = w[first] },
+		"address DFS off":      func(w []int64) { w[addrs+1]++ },
+		"tree root reparented": func(w []int64) { w[2+lm+int(root)] = int64(g.Neighbors(root)[0]) },
+	}
+	for name, corrupt := range cases {
+		bad := append([]int64(nil), words...)
+		corrupt(bad)
+		if _, err := FromWords(g, bad); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}

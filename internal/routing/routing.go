@@ -50,20 +50,25 @@ type Scheme struct {
 	// landmarkIdx maps a landmark vertex to its tree index.
 	landmarkIdx map[int32]int
 
-	// toLandmark[t][v] = next hop from v toward landmark t (tree parent).
-	toLandmark [][]int32
-	// treeDFS[t][v] = DFS index of v in tree t; treeEnd[t][v] = largest DFS
-	// index in v's subtree (interval routing).
-	treeDFS [][]int32
-	treeEnd [][]int32
-	// treeChildren[t][v] = children of v in tree t.
-	treeChildren [][][]int32
+	// trees[t] is landmark t's BFS tree.
+	trees []tree
 
 	// direct[v] = next hop from v toward each w with v ∈ ball(w).
 	direct []map[int32]int32
 
 	// addr[v] is v's address.
 	addr []Address
+}
+
+// tree is one landmark's BFS tree with its interval-routing index.
+type tree struct {
+	// parent[v] = next hop from v toward the landmark.
+	parent []int32
+	// dfs[v] = DFS index of v; end[v] = largest DFS index in v's subtree.
+	dfs, end []int32
+	// Child lists in CSR form: the children of v are kids[off[v]:off[v+1]],
+	// in ascending vertex order.
+	off, kids []int32
 }
 
 // New builds the scheme. Expected preprocessing O(√n·m); expected table
@@ -106,26 +111,23 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 	// δ(·,L) and each vertex's own landmark.
 	distL, nearestL, _ := g.MultiSourceBFS(s.landmarks)
 
-	// Landmark trees with DFS intervals.
-	t := len(s.landmarks)
-	s.toLandmark = make([][]int32, t)
-	s.treeDFS = make([][]int32, t)
-	s.treeEnd = make([][]int32, t)
-	s.treeChildren = make([][][]int32, t)
+	// Landmark trees with DFS intervals; one dist scratch and queue serve
+	// every tree's BFS.
+	s.trees = make([]tree, len(s.landmarks))
+	dist := make([]int32, n)
+	queue := make([]int32, 0, n)
 	for i, l := range s.landmarks {
-		_, parent := g.BFSWithParents(l)
-		s.toLandmark[i] = parent
-		dfs, end, children := dfsIntervals(n, l, parent)
-		s.treeDFS[i] = dfs
-		s.treeEnd[i] = end
-		s.treeChildren[i] = children
+		tr := &s.trees[i]
+		tr.parent = make([]int32, n)
+		queue = g.BFSInto(l, dist, tr.parent, queue)
+		tr.index(l)
 	}
 
 	for v := int32(0); int(v) < n; v++ {
 		lv := nearestL[v]
 		a := Address{V: v, Landmark: lv}
 		if lv != graph.Unreachable {
-			a.DFS = s.treeDFS[s.landmarkIdx[lv]][v]
+			a.DFS = s.trees[s.landmarkIdx[lv]].dfs[v]
 		}
 		s.addr[v] = a
 	}
@@ -168,44 +170,64 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 	return s, nil
 }
 
-// dfsIntervals computes, for the tree given by parent pointers rooted at
-// root, a DFS numbering and per-vertex subtree intervals [dfs, end].
-func dfsIntervals(n int, root int32, parent []int32) (dfs, end []int32, children [][]int32) {
-	dfs = make([]int32, n)
-	end = make([]int32, n)
-	children = make([][]int32, n)
-	for v := range dfs {
-		dfs[v] = graph.Unreachable
-		end[v] = graph.Unreachable
-	}
-	for v := int32(0); int(v) < n; v++ {
-		if parent[v] != graph.Unreachable && parent[v] != v {
-			children[parent[v]] = append(children[parent[v]], v)
+// index computes, from the parent pointers of the tree rooted at root, a
+// DFS numbering, per-vertex subtree intervals [dfs, end], and the children
+// in CSR form. A counting sort over ascending v fills each child list in
+// ascending vertex order, which is the DFS visiting order.
+func (tr *tree) index(root int32) {
+	n := len(tr.parent)
+	tr.dfs = make([]int32, n)
+	tr.end = make([]int32, n)
+	tr.off = make([]int32, n+1)
+	for v, p := range tr.parent {
+		if p != graph.Unreachable && p != int32(v) {
+			tr.off[p+1]++
 		}
 	}
-	counter := int32(0)
-	// Iterative DFS.
-	type frame struct {
-		v    int32
-		next int
+	for v := 0; v < n; v++ {
+		tr.off[v+1] += tr.off[v]
 	}
-	stack := []frame{{v: root}}
-	dfs[root] = counter
-	counter++
+	tr.kids = make([]int32, tr.off[n])
+	next := tr.dfs // fill cursors; dfs is reset below
+	copy(next, tr.off[:n])
+	for v, p := range tr.parent {
+		if p != graph.Unreachable && p != int32(v) {
+			tr.kids[next[p]] = int32(v)
+			next[p]++
+		}
+	}
+	for v := range tr.dfs {
+		tr.dfs[v] = graph.Unreachable
+		tr.end[v] = graph.Unreachable
+	}
+	// Iterative DFS; a frame's next is its position in kids.
+	type frame struct{ v, next int32 }
+	stack := []frame{{v: root, next: tr.off[root]}}
+	tr.dfs[root] = 0
+	counter := int32(1)
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.next < len(children[f.v]) {
-			c := children[f.v][f.next]
+		if f.next < tr.off[f.v+1] {
+			c := tr.kids[f.next]
 			f.next++
-			dfs[c] = counter
+			tr.dfs[c] = counter
 			counter++
-			stack = append(stack, frame{v: c})
+			stack = append(stack, frame{v: c, next: tr.off[c]})
 			continue
 		}
-		end[f.v] = counter - 1
+		tr.end[f.v] = counter - 1
 		stack = stack[:len(stack)-1]
 	}
-	return dfs, end, children
+}
+
+// children returns v's children, in ascending vertex order.
+func (tr *tree) children(v int32) []int32 {
+	return tr.kids[tr.off[v]:tr.off[v+1]]
+}
+
+// contains reports whether DFS index d lies in v's subtree.
+func (tr *tree) contains(v, d int32) bool {
+	return tr.dfs[v] <= d && d <= tr.end[v]
 }
 
 // AddressOf returns the routing address of v (what senders must know).
@@ -219,8 +241,8 @@ func (s *Scheme) Landmarks() []int32 { return s.landmarks }
 func (s *Scheme) TableSize(v int32) int {
 	size := len(s.landmarks) // next hop toward each landmark
 	size += len(s.direct[v])
-	for t := range s.landmarks {
-		size += 1 + len(s.treeChildren[t][v]) // own interval + children intervals
+	for t := range s.trees {
+		size += 1 + len(s.trees[t].children(v)) // own interval + children intervals
 	}
 	return size
 }
@@ -239,26 +261,22 @@ func (s *Scheme) NextHop(x int32, dst Address) (int32, bool) {
 	if dst.Landmark == graph.Unreachable {
 		return 0, false
 	}
-	t := s.landmarkIdx[dst.Landmark]
-	if s.treeDFS[t][x] != graph.Unreachable && inSubtree(s, t, x, dst.DFS) {
+	tr := &s.trees[s.landmarkIdx[dst.Landmark]]
+	if tr.dfs[x] != graph.Unreachable && tr.contains(x, dst.DFS) {
 		// Tree phase: descend to the child whose interval contains dst.
-		for _, c := range s.treeChildren[t][x] {
-			if s.treeDFS[t][c] <= dst.DFS && dst.DFS <= s.treeEnd[t][c] {
+		for _, c := range tr.children(x) {
+			if tr.contains(c, dst.DFS) {
 				return c, true
 			}
 		}
 		return 0, false // corrupt header
 	}
 	// Landmark phase: climb toward ℓ_w.
-	hop := s.toLandmark[t][x]
+	hop := tr.parent[x]
 	if hop == graph.Unreachable || hop == x {
 		return 0, false
 	}
 	return hop, true
-}
-
-func inSubtree(s *Scheme, t int, x int32, dfs int32) bool {
-	return s.treeDFS[t][x] <= dfs && dfs <= s.treeEnd[t][x]
 }
 
 // Route simulates a packet from u to v and returns the traversed path

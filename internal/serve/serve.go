@@ -275,11 +275,15 @@ type shard struct {
 
 // Engine is the sharded query engine. Create with New, stop with Close.
 type Engine struct {
-	cfg     Config
-	snap    atomic.Pointer[Snapshot]
-	snapSeq atomic.Int64
-	shards  []*shard
-	wg      sync.WaitGroup
+	cfg  Config
+	snap atomic.Pointer[Snapshot]
+	// installMu orders generation ids with their publication: snapSeq is
+	// advanced and the snapshot stored under it, so concurrent swaps can
+	// never publish an older generation over a newer one.
+	installMu sync.Mutex
+	snapSeq   int64
+	shards    []*shard
+	wg        sync.WaitGroup
 
 	// mu guards closed against concurrent submits racing channel close.
 	mu     sync.RWMutex
@@ -365,7 +369,7 @@ func New(a *artifact.Artifact, cfg Config) (*Engine, error) {
 		e.phaseNS[p] = reg.Histogram("serve.phase_ns", obs.Label{Key: "phase", Value: p.String()})
 	}
 
-	e.snap.Store(newSnapshot(a, e.snapSeq.Add(1)))
+	e.install(newSnapshot(a))
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		s := &shard{ch: make(chan task, cfg.QueueDepth)}
@@ -462,10 +466,20 @@ func (e *Engine) Swap(a *artifact.Artifact) (int64, error) {
 	if a == nil || a.Graph == nil || a.Spanner == nil || a.Oracle == nil || a.Routing == nil {
 		return 0, errors.New("serve: incomplete artifact")
 	}
-	snap := newSnapshot(a, e.snapSeq.Add(1))
-	e.snap.Store(snap)
+	id := e.install(newSnapshot(a))
 	e.swaps.Inc()
-	return snap.ID, nil
+	return id, nil
+}
+
+// install publishes snap as the next generation and returns its id. The
+// snapshot is built before the call, outside the lock.
+func (e *Engine) install(snap *Snapshot) int64 {
+	e.installMu.Lock()
+	defer e.installMu.Unlock()
+	e.snapSeq++
+	snap.ID = e.snapSeq
+	e.snap.Store(snap)
+	return snap.ID
 }
 
 // NewPart builds an engine serving one partition of a split artifact:
@@ -484,7 +498,9 @@ func NewPart(p *artifact.Part, cfg Config) (*Engine, error) {
 	}
 	// Reinstall the initial snapshot with the part metadata attached — no
 	// queries have run yet, so reusing the generation id is safe.
-	e.snap.Store(newPartSnapshot(p, e.snap.Load().ID))
+	snap := newPartSnapshot(p)
+	snap.ID = e.snap.Load().ID
+	e.snap.Store(snap)
 	return e, nil
 }
 
@@ -494,10 +510,9 @@ func (e *Engine) SwapPart(p *artifact.Part) (int64, error) {
 	if p == nil || p.Art == nil || p.Art.Graph == nil || p.Art.Spanner == nil || p.Art.Oracle == nil || p.Art.Routing == nil {
 		return 0, errors.New("serve: incomplete part")
 	}
-	snap := newPartSnapshot(p, e.snapSeq.Add(1))
-	e.snap.Store(snap)
+	id := e.install(newPartSnapshot(p))
 	e.swaps.Inc()
-	return snap.ID, nil
+	return id, nil
 }
 
 // shardFor hashes an endpoint pair to a shard, so repeated queries for the

@@ -33,17 +33,16 @@ type Snapshot struct {
 	part *artifact.Part
 }
 
-func newSnapshot(a *artifact.Artifact, id int64) *Snapshot {
+func newSnapshot(a *artifact.Artifact) *Snapshot {
 	return &Snapshot{
-		ID:      id,
 		Art:     a,
 		spanner: a.Spanner.ToGraph(a.Graph.N()),
 		lmDist:  a.Routing.LandmarkDistances(),
 	}
 }
 
-func newPartSnapshot(p *artifact.Part, id int64) *Snapshot {
-	s := newSnapshot(p.Art, id)
+func newPartSnapshot(p *artifact.Part) *Snapshot {
+	s := newSnapshot(p.Art)
 	s.part = p
 	return s
 }

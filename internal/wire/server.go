@@ -435,9 +435,11 @@ func (s *Server) processQuery(cn *sconn, t *stask) error {
 	return s.sendReply(cn, t, start)
 }
 
+// sendReply encodes and writes t's reply. The request is counted before the
+// write, as processBatch does, so a client that has read its reply always
+// sees it in the registry.
 func (s *Server) sendReply(cn *sconn, t *stask, start time.Time) error {
 	t.buf = AppendReplyFrame(t.buf[:0], t.corr, &t.wrep)
-	err := cn.write(t.buf)
 	if s.requests != nil {
 		s.requests.Inc()
 		if t.wrep.Code != CodeOK && t.wrep.Code != CodeNoRoute {
@@ -445,7 +447,7 @@ func (s *Server) sendReply(cn *sconn, t *stask, start time.Time) error {
 		}
 		s.latency.Observe(time.Since(start).Microseconds())
 	}
-	return err
+	return cn.write(t.buf)
 }
 
 func (s *Server) processBatch(cn *sconn, t *stask) error {
