@@ -61,12 +61,13 @@ faultcheck:
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire
 
 # The serving-layer gate: artifact codec, query engine and daemon tests
-# under the race detector, plus the root round-trip/hot-swap integration
-# tests.
+# under the race detector, the root round-trip/hot-swap integration tests,
+# and the unraced zero-allocation bar on Engine.Query.
 serve:
 	$(GO) vet ./internal/artifact/... ./internal/serve/... ./cmd/spannerd/...
 	$(GO) test -race ./internal/artifact/... ./internal/serve/... ./cmd/spannerd/...
 	$(GO) test -run 'Serve|Artifact' -race .
+	$(GO) test -run ZeroAlloc -count=1 ./internal/serve
 
 # The dynamic-updates gate: maintainer, update-stream/log and delta-codec
 # tests under the race detector (including the delta-apply/LRU-eviction

@@ -594,8 +594,6 @@ type RequestPhase = obs.ReqPhase
 // Request lifecycle phases, in execution order.
 const (
 	ReqPhaseAdmission = obs.ReqPhaseAdmission
-	ReqPhaseQueue     = obs.ReqPhaseQueue
-	ReqPhaseShard     = obs.ReqPhaseShard
 	ReqPhaseCache     = obs.ReqPhaseCache
 	ReqPhaseOracle    = obs.ReqPhaseOracle
 )
@@ -758,8 +756,9 @@ func NewPartServeEngine(p *ArtifactPart, cfg ServeConfig) (*ServeEngine, error) 
 }
 
 // ServeEngine is the concurrent query engine over a loaded artifact:
-// sharded workers, per-shard LRU result caches, bounded queues with
-// admission control, and atomic artifact hot-swap under live traffic.
+// queries evaluated on the caller's goroutine behind one in-flight limit,
+// partitioned per-type LRU result caches, and atomic artifact hot-swap
+// under live traffic.
 type ServeEngine = serve.Engine
 
 // ServeConfig tunes a ServeEngine; the zero value picks defaults.
@@ -787,9 +786,11 @@ const (
 
 // Typed serving errors, matchable with errors.Is.
 var (
-	// ErrServeOverloaded reports a full shard queue (admission control).
+	// ErrServeOverloaded reports a query refused at the engine's in-flight
+	// limit (admission control).
 	ErrServeOverloaded = serve.ErrOverloaded
-	// ErrServeDeadline reports a deadline that expired while queued.
+	// ErrServeDeadline reports a deadline that had passed when the query's
+	// evaluation was due to start.
 	ErrServeDeadline = serve.ErrDeadline
 	// ErrServeClosed reports a query submitted after Close.
 	ErrServeClosed = serve.ErrClosed
@@ -798,7 +799,7 @@ var (
 	ErrServeNoRoute = serve.ErrNoRoute
 )
 
-// NewServeEngine starts a query engine over the artifact.
+// NewServeEngine builds a query engine over the artifact.
 func NewServeEngine(a *Artifact, cfg ServeConfig) (*ServeEngine, error) {
 	return serve.New(a, cfg)
 }

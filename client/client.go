@@ -229,6 +229,11 @@ func New(cfg Config) *Client {
 // Stats reports the client's current resilience state.
 func (c *Client) Stats() Stats { return Stats{Breaker: c.br.snapshot()} }
 
+// ResetBreaker closes the circuit breaker. It is for owners that learn out
+// of band, from a health probe, that the server is back before the
+// cooldown would let a call through.
+func (c *Client) ResetBreaker() { c.br.success() }
+
 func splitmix(x uint64) uint64 {
 	z := x + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

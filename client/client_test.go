@@ -179,6 +179,36 @@ func TestBreakerOpensShedsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestResetBreakerClosesOpenCircuit: an owner that learns out of band that
+// the server is back closes the circuit before the cooldown ends.
+func TestResetBreakerClosesOpenCircuit(t *testing.T) {
+	healthy := atomic.Bool{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if healthy.Load() {
+			okReply(w, 2)
+			return
+		}
+		http.Error(w, `{"err":"down"}`, http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	cfg := fastCfg(ts.URL)
+	cfg.MaxRetries = -1
+	cfg.BreakerThreshold = 2
+	cfg.BreakerCooldown = time.Hour
+	c := New(cfg)
+	for i := 0; i < 2; i++ {
+		c.Dist(context.Background(), 1, 2)
+	}
+	if st := c.Stats().Breaker; st != "open" {
+		t.Fatalf("breaker %q, want open", st)
+	}
+	healthy.Store(true)
+	c.ResetBreaker()
+	if rep, err := c.Dist(context.Background(), 1, 2); err != nil || rep.Dist != 2 {
+		t.Fatalf("call after reset: %+v, %v", rep, err)
+	}
+}
+
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"err":"down"}`, http.StatusInternalServerError)

@@ -94,7 +94,7 @@ func newWireClient(t testing.TB, cfg WireConfig) *WireClient {
 }
 
 func TestWireQueryMatchesEngine(t *testing.T) {
-	addr, eng, _ := startWireServer(t, serve.Config{Shards: 2, CacheSize: 64})
+	addr, eng, _ := startWireServer(t, serve.Config{CacheSize: 64})
 	cl := newWireClient(t, fastWireCfg(addr))
 	n := int32(eng.Snapshot().N())
 	types := []string{"dist", "path", "route"}
@@ -116,7 +116,7 @@ func TestWireQueryMatchesEngine(t *testing.T) {
 }
 
 func TestWireDist(t *testing.T) {
-	addr, eng, _ := startWireServer(t, serve.Config{Shards: 1})
+	addr, eng, _ := startWireServer(t, serve.Config{})
 	cl := newWireClient(t, fastWireCfg(addr))
 	got, err := cl.Dist(context.Background(), 3, 42)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestWireDist(t *testing.T) {
 }
 
 func TestWireNoRouteSurfacesAsReplyErr(t *testing.T) {
-	addr, _, _ := startWireServer(t, serve.Config{Shards: 1})
+	addr, _, _ := startWireServer(t, serve.Config{})
 	cl := newWireClient(t, fastWireCfg(addr))
 	// Vertex out of range is a bad request; an unreachable pair inside
 	// range is a no-route reply. The test graph is connected, so force the
@@ -142,7 +142,7 @@ func TestWireNoRouteSurfacesAsReplyErr(t *testing.T) {
 }
 
 func TestWireBatch(t *testing.T) {
-	addr, eng, _ := startWireServer(t, serve.Config{Shards: 2, CacheSize: 64})
+	addr, eng, _ := startWireServer(t, serve.Config{CacheSize: 64})
 	cl := newWireClient(t, fastWireCfg(addr))
 	qs := []Query{
 		{Type: "dist", U: 1, V: 2},
@@ -173,7 +173,7 @@ func TestWireBatch(t *testing.T) {
 }
 
 func TestWireHealthz(t *testing.T) {
-	addr, eng, _ := startWireServer(t, serve.Config{Shards: 1})
+	addr, eng, _ := startWireServer(t, serve.Config{})
 	cl := newWireClient(t, fastWireCfg(addr))
 	h, err := cl.Healthz(context.Background())
 	if err != nil {
@@ -185,7 +185,7 @@ func TestWireHealthz(t *testing.T) {
 }
 
 func TestWireBrownoutIsRejectedWithHint(t *testing.T) {
-	addr, eng, _ := startWireServer(t, serve.Config{Shards: 1})
+	addr, eng, _ := startWireServer(t, serve.Config{})
 	eng.SetBrownout(true)
 	cfg := fastWireCfg(addr)
 	cfg.MaxRetries = -1 // surface the rejection, don't ride the hint
@@ -209,7 +209,7 @@ func TestWireBrownoutIsRejectedWithHint(t *testing.T) {
 }
 
 func TestWireBatchOverLimitRejected(t *testing.T) {
-	addr, _, _ := startWireServer(t, serve.Config{Shards: 1, MaxBatch: 2})
+	addr, _, _ := startWireServer(t, serve.Config{MaxBatch: 2})
 	cfg := fastWireCfg(addr)
 	cfg.MaxRetries = -1
 	cl := newWireClient(t, cfg)
@@ -323,7 +323,7 @@ func TestWireBreakerOpens(t *testing.T) {
 }
 
 func TestWirePipeliningConcurrent(t *testing.T) {
-	addr, eng, _ := startWireServer(t, serve.Config{Shards: 2, CacheSize: 64})
+	addr, eng, _ := startWireServer(t, serve.Config{CacheSize: 64})
 	cfg := fastWireCfg(addr)
 	cfg.Conns = 1 // everything pipelines over one connection
 	cl := newWireClient(t, cfg)
@@ -360,7 +360,7 @@ func TestWirePipeliningConcurrent(t *testing.T) {
 }
 
 func TestWireConnectionReuse(t *testing.T) {
-	addr, _, ob := startWireServer(t, serve.Config{Shards: 1})
+	addr, _, ob := startWireServer(t, serve.Config{})
 	cfg := fastWireCfg(addr)
 	cfg.Conns = 1
 	cl := newWireClient(t, cfg)
@@ -507,7 +507,7 @@ func TestWireCoalescing(t *testing.T) {
 // frames. Every answer must be the same flagged landmark bound a lone query
 // gets, whether or not it rode in a batch.
 func TestWireConcurrentDegraded(t *testing.T) {
-	addr, eng, _ := startWireServer(t, serve.Config{Shards: 2, CacheSize: 64})
+	addr, eng, _ := startWireServer(t, serve.Config{CacheSize: 64})
 	cfg := fastWireCfg(addr)
 	cfg.Conns = 1
 	cl := newWireClient(t, cfg)
@@ -548,7 +548,7 @@ func TestWireConcurrentDegraded(t *testing.T) {
 
 func TestWireScavengerDropsDeadConns(t *testing.T) {
 	a := wireTestArtifact(t, 40, 1)
-	eng, err := serve.New(a, serve.Config{Shards: 1})
+	eng, err := serve.New(a, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func TestWireScavengerDropsDeadConns(t *testing.T) {
 }
 
 func TestWireRequireExact(t *testing.T) {
-	addr, _, _ := startWireServer(t, serve.Config{Shards: 1})
+	addr, _, _ := startWireServer(t, serve.Config{})
 	cfg := fastWireCfg(addr)
 	cfg.RequireExact = true
 	cl := newWireClient(t, cfg)
@@ -717,7 +717,7 @@ func BenchmarkWireClientDistAllocs(b *testing.B) {
 // BenchmarkWireClientDist measures the full engine-backed round trip
 // (allocs/op here includes the serving engine's own work).
 func BenchmarkWireClientDist(b *testing.B) {
-	addr, _, _ := startWireServer(b, serve.Config{Shards: 2, CacheSize: 256})
+	addr, _, _ := startWireServer(b, serve.Config{CacheSize: 256})
 	cfg := fastWireCfg(addr)
 	cfg.Conns = 1
 	cl, err := NewWire(cfg)

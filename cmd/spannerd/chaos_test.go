@@ -9,6 +9,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestChaosQueryFidelityPerFailureClass(t *testing.T) {
 	for _, tc := range classes {
 		t.Run(tc.name, func(t *testing.T) {
 			ob := obs.New()
-			eng, err := serve.New(a, serve.Config{Shards: 2, Obs: ob})
+			eng, err := serve.New(a, serve.Config{Obs: ob})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,16 +100,25 @@ func TestChaosQueryFidelityPerFailureClass(t *testing.T) {
 // TestChaosBrownoutDegradedFlagged overloads a deliberately tiny engine in
 // brownout mode: inexact answers are allowed, but every one must carry the
 // Degraded flag and stay a true upper bound, and low-priority traffic must
-// shed with the typed rejection.
+// shed with the typed rejection. The engine admits one evaluation and a
+// test hook holds one in flight, so which replies are over the limit does
+// not depend on goroutine timing.
 func TestChaosBrownoutDegradedFlagged(t *testing.T) {
 	a := testArtifact(t, 100, 43)
 	ob := obs.New()
-	// One shard, one queue slot, no cache: concurrent queries must overflow
-	// the queue, which under brownout answers landmark bounds inline.
-	eng, err := serve.New(a, serve.Config{Shards: 1, QueueDepth: 1, CacheSize: -1, Obs: ob})
+	eng, err := serve.New(a, serve.Config{MaxInFlight: 1, CacheSize: -1, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var held atomic.Bool
+	eng.SetTestHook(func() {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	})
 	ts := httptest.NewServer(newServer(eng, ob, serverOpts{}).routes())
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 	eng.SetBrownout(true)
@@ -117,63 +127,56 @@ func TestChaosBrownoutDegradedFlagged(t *testing.T) {
 	// Exact answers must equal the oracle; degraded answers are a different
 	// estimator (landmark route bounds), so the invariant they owe is being
 	// a true upper bound on the real graph distance.
-	bfsDist := map[int32][]int32{}
-	truth := func(u int32) []int32 {
-		if _, ok := bfsDist[u]; !ok {
-			d, _ := a.Graph.BFSWithParents(u)
-			bfsDist[u] = d
-		}
-		return bfsDist[u]
-	}
-	// Overflow needs two requests inside the worker's µs-scale drain
-	// window; connection-dial jitter can spread a round's arrivals wide
-	// enough to miss it, so each round launches behind a start barrier
-	// (every goroutine fires at the same instant, on warm connections
-	// after round one) and rounds repeat until the fallback is seen —
-	// first success exits, so quiet runs stay short.
 	var degraded, exact int
-	for round := 0; round < 40 && degraded == 0; round++ {
-		const conc = 100
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		start := make(chan struct{})
-		for i := 0; i < conc; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				u := int32((i * 11) % 100)
-				v := int32((i*29 + 3) % 100)
-				<-start
-				rep, err := cl.Dist(context.Background(), u, v)
-				if err != nil {
-					t.Errorf("query (%d,%d) failed under overload: %v", u, v, err)
-					return
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if rep.Degraded {
-					degraded++
-					if rep.Dist == graph.Unreachable {
-						t.Errorf("degraded (%d,%d) answered Unreachable on a connected graph", u, v)
-					}
-					if want := truth(u)[v]; rep.Dist < want {
-						t.Errorf("degraded (%d,%d) = %d below the true distance %d — not an upper bound",
-							u, v, rep.Dist, want)
-					}
-					return
-				}
-				exact++
-				if want := a.Oracle.Query(u, v); rep.Dist != want {
-					t.Errorf("unflagged (%d,%d) = %d, oracle says %d — wrong answer not marked degraded",
-						u, v, rep.Dist, want)
-				}
-			}(i)
+	query := func(i int) (flagged bool) {
+		t.Helper()
+		u := int32((i * 11) % 100)
+		v := int32((i*29 + 3) % 100)
+		rep, err := cl.Dist(context.Background(), u, v)
+		if err != nil {
+			t.Fatalf("query (%d,%d) failed under overload: %v", u, v, err)
 		}
-		close(start)
-		wg.Wait()
+		if rep.Degraded {
+			degraded++
+			if rep.Dist == graph.Unreachable {
+				t.Fatalf("degraded (%d,%d) answered Unreachable on a connected graph", u, v)
+			}
+			truth, _ := a.Graph.BFSWithParents(u)
+			if rep.Dist < truth[v] {
+				t.Fatalf("degraded (%d,%d) = %d below the true distance %d — not an upper bound",
+					u, v, rep.Dist, truth[v])
+			}
+			return true
+		}
+		exact++
+		if want := a.Oracle.Query(u, v); rep.Dist != want {
+			t.Fatalf("unflagged (%d,%d) = %d, oracle says %d — wrong answer not marked degraded",
+				u, v, rep.Dist, want)
+		}
+		return false
 	}
-	if degraded == 0 {
-		t.Fatal("overload never produced a degraded answer — queue-full fallback not exercised")
+
+	// One evaluation held: the engine is at its limit, so every distance
+	// query gets the landmark bound.
+	heldReply := make(chan serve.Reply, 1)
+	go func() { heldReply <- eng.Query(serve.Request{Type: serve.QueryDist, U: 5, V: 60}) }()
+	<-entered
+	const queries = 50
+	for i := 0; i < queries; i++ {
+		if !query(i) {
+			t.Fatalf("query %d answered exactly while the engine was at its in-flight limit", i)
+		}
+	}
+	close(release)
+	if rep := <-heldReply; rep.Err != nil || rep.Degraded || rep.Dist != a.Oracle.Query(5, 60) {
+		t.Fatalf("held evaluation: %+v", rep)
+	}
+	// Below the limit again: brownout alone does not degrade high-priority
+	// answers.
+	for i := 0; i < queries; i++ {
+		if query(i) {
+			t.Fatalf("query %d degraded below the in-flight limit", i)
+		}
 	}
 	t.Logf("brownout overload: %d degraded (flagged), %d exact", degraded, exact)
 
@@ -205,7 +208,7 @@ func TestChaosConcurrentSwapUpdateMonotonic(t *testing.T) {
 	bcPath := dir + "/bc.spandelta"
 
 	ob := obs.New()
-	eng, err := serve.New(a, serve.Config{Shards: 2, CacheSize: 64, Obs: ob})
+	eng, err := serve.New(a, serve.Config{CacheSize: 64, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}

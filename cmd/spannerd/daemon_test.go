@@ -76,7 +76,7 @@ func saveDeltaBetween(t *testing.T, dir, name string, from, to *artifact.Artifac
 func TestDrainCompletesInflightBatch(t *testing.T) {
 	a := testArtifact(t, 80, 31)
 	ob := obs.New()
-	eng, err := serve.New(a, serve.Config{Shards: 2, Obs: ob})
+	eng, err := serve.New(a, serve.Config{Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestApplyRecoveredDeltasChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := serve.New(art, serve.Config{Shards: 1})
+	eng, err := serve.New(art, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestBrownoutWire(t *testing.T) {
 func TestBatchLimitWire(t *testing.T) {
 	a := testArtifact(t, 50, 29)
 	ob := obs.New()
-	eng, err := serve.New(a, serve.Config{Shards: 1, MaxBatch: 2, Obs: ob})
+	eng, err := serve.New(a, serve.Config{MaxBatch: 2, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,7 +259,7 @@ func parseMix(s string) ([3]int, error) {
 // flat on memory.
 //
 // Failures are split by the error taxonomy the resilience layer acts on:
-// timeout (deadline expired while queued), rejected (admission control —
+// timeout (deadline expired before evaluation), rejected (admission control —
 // overload, brownout shed, engine closed) and transport (everything else:
 // faults that are neither the client's pacing nor the server's shedding;
 // printed as the "faults" column now that a "transport" column labels

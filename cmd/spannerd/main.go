@@ -5,7 +5,7 @@
 //
 // Serve:
 //
-//	spannerd -artifact build.spanart -addr :8080 -shards 8
+//	spannerd -artifact build.spanart -addr :8080 -max-inflight 4096
 //	curl 'localhost:8080/query?type=dist&u=3&v=77'
 //	curl -X POST localhost:8080/swap -d '{"artifact":"next.spanart"}'
 //
@@ -95,10 +95,10 @@ type daemonConfig struct {
 // engineFlags carries the engine + observability tuning shared by the
 // serving and loadgen paths.
 type engineFlags struct {
-	shards, queue, cache int
-	deadline             time.Duration
-	maxBatch             int
-	brownoutPoll         time.Duration
+	maxInFlight, cache int
+	deadline           time.Duration
+	maxBatch           int
+	brownoutPoll       time.Duration
 
 	traceSample int
 	slowQuery   time.Duration
@@ -128,8 +128,7 @@ func (ef engineFlags) buildEngine(art *artifact.Artifact, part *artifact.Part, l
 		Window:           ef.sloWindow,
 	})
 	cfg := serve.Config{
-		Shards:          ef.shards,
-		QueueDepth:      ef.queue,
+		MaxInFlight:     ef.maxInFlight,
 		CacheSize:       ef.cache,
 		DefaultDeadline: ef.deadline,
 		MaxBatch:        ef.maxBatch,
@@ -166,9 +165,8 @@ func run() error {
 		chaosSpec = flag.String("chaos", "", "inject seeded serve-path faults, e.g. reset=0.01,err5xx=0.02,truncate=0.01,seed=7 (see internal/httpchaos)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown budget for in-flight requests")
 
-		shards       = flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "per-shard queue depth (0 = default)")
-		cache        = flag.Int("cache", 0, "per-shard per-type LRU size (0 = default, <0 disables)")
+		maxInFlight  = flag.Int("max-inflight", 0, "evaluations admitted at once; more are refused with 503 (0 = 1024*GOMAXPROCS)")
+		cache        = flag.Int("cache", 0, "per-partition per-type LRU size (0 = default, <0 disables)")
 		deadline     = flag.Duration("deadline", 0, "default per-query deadline (0 = none)")
 		maxBatch     = flag.Int("max-batch", 0, "largest accepted /batch size (0 = default 1024; shrinks to a quarter under brownout)")
 		brownoutPoll = flag.Duration("brownout-poll", time.Second, "SLO brownout controller poll interval (0 = controller off)")
@@ -198,7 +196,7 @@ func run() error {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	ef := engineFlags{
-		shards: *shards, queue: *queue, cache: *cache, deadline: *deadline,
+		maxInFlight: *maxInFlight, cache: *cache, deadline: *deadline,
 		maxBatch: *maxBatch, brownoutPoll: *brownoutPoll,
 		traceSample: *traceSample, slowQuery: *slowQuery,
 		sloWindow: *sloWindow, sloAvail: *sloAvail, sloLatObj: *sloLatObj, sloLatTh: *sloLatTh,
@@ -552,8 +550,8 @@ func serveUntilSignal(srv *http.Server, wsrv *wire.Server, errc <-chan error, en
 	select {
 	case err := <-errc:
 		// The HTTP listener died on its own; stop the wire listener too,
-		// then draining the engine is safe and keeps queued replies from
-		// being lost.
+		// then draining the engine is safe and lets in-flight evaluations
+		// finish.
 		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		shutdownWire(ctx)

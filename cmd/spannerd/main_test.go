@@ -41,7 +41,7 @@ func testArtifact(t testing.TB, n int, seed int64) *artifact.Artifact {
 func testServer(t *testing.T, a *artifact.Artifact) (*httptest.Server, *serve.Engine) {
 	t.Helper()
 	ob := obs.New()
-	eng, err := serve.New(a, serve.Config{Shards: 2, CacheSize: 64, Obs: ob})
+	eng, err := serve.New(a, serve.Config{CacheSize: 64, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestParseMix(t *testing.T) {
 
 func TestLoadgenSmoke(t *testing.T) {
 	a := testArtifact(t, 120, 5)
-	eng, err := serve.New(a, serve.Config{Shards: 2, CacheSize: 256})
+	eng, err := serve.New(a, serve.Config{CacheSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestUpdateEndpointErrors(t *testing.T) {
 // carrying the update accounting.
 func TestLoadgenChurnSmoke(t *testing.T) {
 	a := testArtifact(t, 120, 11)
-	eng, err := serve.New(a, serve.Config{Shards: 2, CacheSize: 128})
+	eng, err := serve.New(a, serve.Config{CacheSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,8 @@ type queryJSON struct {
 	// Priority is ""/"high" (protected) or "low" (shed first when the
 	// server browns out).
 	Priority string `json:"priority,omitempty"`
-	// AllowDegraded asks for the inline landmark-bound estimate (flagged
-	// Degraded) instead of the exact queued oracle answer. Dist only. The
+	// AllowDegraded asks for the landmark-bound estimate (flagged
+	// Degraded) instead of the exact oracle answer. Dist only. The
 	// cluster router sets it when quorum is lost.
 	AllowDegraded bool `json:"allowDegraded,omitempty"`
 }
@@ -239,9 +239,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if q.AllowDegraded {
-		// The caller asked for the cheap landmark bound — answered inline,
-		// never queued, always flagged Degraded. Only distance queries have
-		// a meaningful bound.
+		// The caller asked for the cheap landmark bound — answered outside
+		// admission control and always flagged Degraded. Only distance
+		// queries have a meaningful bound.
 		if req.Type != serve.QueryDist {
 			writeError(w, http.StatusBadRequest, "allowDegraded applies to dist queries only")
 			return
@@ -252,7 +252,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Request-scoped trace with a propagated (or generated) request id. The
 	// engine stamps phases and the outcome; the handler owns start/finish,
-	// so the id flows from the HTTP layer through the shard worker.
+	// so the id flows from the HTTP layer into the engine.
 	var rt *obs.ReqTrace
 	if s.tracer != nil {
 		rt = s.tracer.Start(req.Type.String(), req.U, req.V, r.Header.Get("X-Request-Id"))
@@ -491,13 +491,11 @@ type metricJSON struct {
 	Hist   *obs.HistSnapshot `json:"hist,omitempty"`
 }
 
-// scrape refreshes point-in-time gauges (shard queue depths) and snapshots
-// the registry.
+// scrape refreshes the point-in-time serve.inflight gauge and snapshots the
+// registry.
 func (s *server) scrape() []obs.MetricValue {
 	reg := s.ob.Registry()
-	for i, d := range s.eng.QueueDepths() {
-		reg.Gauge("serve.queue_depth", obs.Label{Key: "shard", Value: strconv.Itoa(i)}).Set(int64(d))
-	}
+	reg.Gauge("serve.inflight").Set(int64(s.eng.InFlight()))
 	return reg.Snapshot()
 }
 

@@ -29,7 +29,7 @@ func testObsServer(t *testing.T, logBuf *bytes.Buffer) (*httptest.Server, *obs.M
 		Logger:        logger,
 	})
 	slo := obs.NewSLOMonitor(obs.SLOConfig{Window: time.Minute})
-	eng, err := serve.New(a, serve.Config{Shards: 2, CacheSize: 64, Obs: ob, Tracer: tracer, SLO: slo})
+	eng, err := serve.New(a, serve.Config{CacheSize: 64, Obs: ob, Tracer: tracer, SLO: slo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRequestIDPropagation(t *testing.T) {
 			phases[e.Name] = true
 		}
 	}
-	for _, want := range []string{"serve.admission", "serve.queue", "serve.shard", "serve.cache", "serve.oracle"} {
+	for _, want := range []string{"serve.admission", "serve.cache", "serve.oracle"} {
 		if !phases[want] {
 			t.Fatalf("span tree missing phase %s (have %v)", want, phases)
 		}
@@ -130,8 +130,8 @@ func TestMetriczPrometheusRoundTrip(t *testing.T) {
 	if len(byName["serve_phase_ns_bucket"]) == 0 {
 		t.Fatal("no per-phase latency buckets in exposition")
 	}
-	if len(byName["serve_queue_depth"]) != 2 {
-		t.Fatalf("queue depth gauges = %d samples, want one per shard", len(byName["serve_queue_depth"]))
+	if g := byName["serve_inflight"]; len(g) != 1 || g[0].Value != 0 {
+		t.Fatalf("serve_inflight gauge = %+v, want one sample reading 0 between requests", g)
 	}
 	// +Inf bucket equals _count for each histogram series.
 	counts := map[string]float64{}

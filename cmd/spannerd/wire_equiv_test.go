@@ -110,7 +110,7 @@ func sameTypedErr(a, b error) bool {
 // classification of every failure.
 func TestCrossTransportEquivalence(t *testing.T) {
 	a := testArtifact(t, 120, 3)
-	hc, wc, _, _ := twinTransports(t, a, nil, serve.Config{Shards: 2, CacheSize: 128})
+	hc, wc, _, _ := twinTransports(t, a, nil, serve.Config{CacheSize: 128})
 	ctx := context.Background()
 
 	var stream []client.Query
@@ -161,7 +161,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 // same way, including per-entry errors inside a successful batch.
 func TestCrossTransportBatchEquivalence(t *testing.T) {
 	a := testArtifact(t, 100, 5)
-	hc, wc, _, _ := twinTransports(t, a, nil, serve.Config{Shards: 2, CacheSize: 64})
+	hc, wc, _, _ := twinTransports(t, a, nil, serve.Config{CacheSize: 64})
 	ctx := context.Background()
 
 	batch := []client.Query{
@@ -212,7 +212,7 @@ func TestCrossTransportComposedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, wc, _, _ := twinTransports(t, nil, res.Parts[0], serve.Config{Shards: 2, CacheSize: 64})
+	hc, wc, _, _ := twinTransports(t, nil, res.Parts[0], serve.Config{CacheSize: 64})
 	ctx := context.Background()
 
 	composed := 0
@@ -250,7 +250,7 @@ func TestCrossTransportComposedEquivalence(t *testing.T) {
 // and checks the report carries the transport column and real traffic.
 func TestLoadgenWire(t *testing.T) {
 	a := testArtifact(t, 100, 9)
-	eng, err := serve.New(a, serve.Config{Shards: 2, CacheSize: 128, Obs: obs.New()})
+	eng, err := serve.New(a, serve.Config{CacheSize: 128, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestLoadgenWire(t *testing.T) {
 // 1-second hint.
 func TestCrossTransportBrownoutEquivalence(t *testing.T) {
 	a := testArtifact(t, 60, 1)
-	hc, wc, he, we := twinTransports(t, a, nil, serve.Config{Shards: 1})
+	hc, wc, he, we := twinTransports(t, a, nil, serve.Config{})
 	he.SetBrownout(true)
 	we.SetBrownout(true)
 	ctx := context.Background()

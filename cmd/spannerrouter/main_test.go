@@ -24,7 +24,7 @@ func discardLogger() *slog.Logger {
 func fakeReplicaServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	art := chaosArtifact(t, 60, 3)
-	eng, err := serve.New(art, serve.Config{Shards: 2})
+	eng, err := serve.New(art, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Command spannertop is a live terminal dashboard for a running spannerd:
 // it polls /metricz (and /slo) and renders queries/sec, per-phase request
-// latency, cache hit rates, shard queue depths and update/churn activity,
+// latency, cache hit rates, in-flight evaluations and update/churn activity,
 // refreshing in place like top(1).
 //
 // Interval statistics come from differencing consecutive scrapes: counters
@@ -26,7 +26,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -214,7 +213,8 @@ func render(w io.Writer, prev, cur *frame) {
 
 	// Per-phase breakdown from the request-scoped tracing histograms.
 	fmt.Fprintf(w, "\n%-10s %10s %10s %12s %12s\n", "phase", "count", "avg us", "p95 us", "p99 us")
-	for _, phase := range []string{"admission", "queue", "shard", "cache", "oracle"} {
+	for p := obs.ReqPhase(0); p < obs.NumReqPhases; p++ {
+		phase := p.String()
 		h := histDelta(prev, cur, "serve.phase_ns{phase="+phase+"}")
 		if h.Count == 0 {
 			continue
@@ -223,27 +223,11 @@ func render(w io.Writer, prev, cur *frame) {
 			phase, h.Count, us(int64(h.Mean())), us(h.Quantile(0.95)), us(h.Quantile(0.99)))
 	}
 
-	// Shard queue depths (point-in-time gauges).
-	type depth struct {
-		shard string
-		d     int64
-	}
-	var depths []depth
+	// Evaluations in flight (a point-in-time gauge).
 	for _, m := range cur.metrics {
-		if name, labels := splitSeries(m.Series); name == "serve.queue_depth" {
-			depths = append(depths, depth{labels["shard"], int64(m.Value)})
+		if m.Series == "serve.inflight" {
+			fmt.Fprintf(w, "\ninflight: %.0f\n", m.Value)
 		}
-	}
-	if len(depths) > 0 {
-		sort.Slice(depths, func(i, j int) bool { return depths[i].shard < depths[j].shard })
-		fmt.Fprintf(w, "\nqueues: ")
-		for i, d := range depths {
-			if i > 0 {
-				fmt.Fprint(w, " ")
-			}
-			fmt.Fprintf(w, "s%s=%d", d.shard, d.d)
-		}
-		fmt.Fprintln(w)
 	}
 
 	// Update/churn activity.

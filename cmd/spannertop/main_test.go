@@ -46,8 +46,7 @@ func fakeSpannerd(t *testing.T, queries int64, latUS []int64) *httptest.Server {
 		{Kind: "counter", Series: "serve.cache.misses{type=dist}", Value: float64(queries - queries/2)},
 		{Kind: "histogram", Series: "serve.latency_us{type=dist}", Count: h.Count(), Hist: h.Snapshot()},
 		{Kind: "histogram", Series: "serve.phase_ns{phase=oracle}", Count: phase.Count(), Hist: phase.Snapshot()},
-		{Kind: "gauge", Series: "serve.queue_depth{shard=0}", Value: 3},
-		{Kind: "gauge", Series: "serve.queue_depth{shard=1}", Value: 0},
+		{Kind: "gauge", Series: "serve.inflight", Value: 3},
 		{Kind: "counter", Series: "obs.req.traced", Value: 7},
 	}
 	mux := http.NewServeMux()
@@ -82,7 +81,7 @@ func TestFetchAndRenderCumulative(t *testing.T) {
 		"cumulative",
 		"dist",            // traffic row
 		"oracle",          // phase row
-		"s0=3 s1=0",       // queue depths
+		"inflight: 3",     // in-flight gauge
 		"traced: 7 spans", // tracing counters
 		"slo: ok",
 	} {

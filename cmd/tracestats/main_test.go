@@ -20,7 +20,7 @@ func writeServeTrace(t *testing.T) string {
 	tr := spanner.NewRequestTracer(ob, spanner.RequestTracerConfig{SampleEvery: 1})
 	for i := 0; i < 4; i++ {
 		rt := tr.Start("dist", int32(i), int32(i+1), "")
-		rt.Phase(spanner.ReqPhaseQueue, 3*time.Microsecond)
+		rt.Phase(spanner.ReqPhaseAdmission, 3*time.Microsecond)
 		rt.Phase(spanner.ReqPhaseOracle, 9*time.Microsecond)
 		tr.Finish(rt)
 	}
@@ -44,7 +44,7 @@ func TestServePhaseTable(t *testing.T) {
 	if !strings.Contains(text, "== serve phases ==") {
 		t.Fatalf("serve-layer spans not recognized:\n%s", text)
 	}
-	for _, phase := range []string{"serve.request", "serve.queue", "serve.oracle"} {
+	for _, phase := range []string{"serve.request", "serve.admission", "serve.oracle"} {
 		if !strings.Contains(text, phase) {
 			t.Fatalf("serve table missing %s:\n%s", phase, text)
 		}

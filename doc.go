@@ -20,7 +20,7 @@
 //     girth-based (2k−1)-spanner, and BFS trees.
 //   - A serving layer for the build-once/query-many applications the paper
 //     motivates: completed builds freeze into single-file artifacts
-//     (BuildArtifact/SaveArtifact/LoadArtifact) and a sharded, cached
+//     (BuildArtifact/SaveArtifact/LoadArtifact) and a concurrent, cached
 //     query engine answers distance/path/route queries over them with
 //     atomic hot-swap (NewServeEngine; cmd/spannerd is the HTTP daemon).
 //

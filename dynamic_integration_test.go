@@ -137,7 +137,7 @@ func TestDynamicUpdateUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, err := spanner.NewServeEngine(artA, spanner.ServeConfig{Shards: 4, QueueDepth: 4096, CacheSize: 128})
+	eng, err := spanner.NewServeEngine(artA, spanner.ServeConfig{CacheSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

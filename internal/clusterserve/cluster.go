@@ -367,6 +367,10 @@ func (c *Cluster) probe(m *member) {
 		if !m.ready && m.consecOK >= c.cfg.RejoinAfter {
 			m.ready = true
 			m.mu.Unlock()
+			// The probe is fresher evidence than the query path's breaker,
+			// which may still be open from before the replica went down;
+			// left open it would eject the replica again on its first query.
+			m.cl.ResetBreaker()
 			c.rejoins.Add(1)
 			c.cfg.Logger.Info("replica rejoined", "url", m.url, "gen", gen)
 			return

@@ -141,9 +141,9 @@ func (f *fakeReplica) start(ln net.Listener, art *artifact.Artifact, part *artif
 	var eng *serve.Engine
 	var err error
 	if part != nil {
-		eng, err = serve.NewPart(part, serve.Config{Shards: 2, CacheSize: 64})
+		eng, err = serve.NewPart(part, serve.Config{CacheSize: 64})
 	} else {
-		eng, err = serve.New(art, serve.Config{Shards: 2, CacheSize: 64})
+		eng, err = serve.New(art, serve.Config{CacheSize: 64})
 	}
 	if err != nil {
 		f.t.Fatal(err)

@@ -52,7 +52,7 @@ func TestReplicaStateMachine(t *testing.T) {
 	art := testArtifact(t, 80, 11)
 	art2 := nextGen(t, art)
 	path2 := saveArtifact(t, t.TempDir(), "g2.spanart", art2)
-	eng, err := serve.New(art, serve.Config{Shards: 2})
+	eng, err := serve.New(art, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"log/slog"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,26 +11,22 @@ import (
 
 // Request-scoped tracing for the serving stack. A ReqTracer hands out
 // ReqTraces; the engine stamps per-phase durations into one as the request
-// moves through admission, the shard queue, dispatch, the cache and the
-// oracle; Finish turns the timeline into the request's span tree plus a
-// structured slow-query log line when over threshold. Traces exist for
+// moves through admission, the cache and the oracle; Finish turns the
+// timeline into the request's span tree plus a structured slow-query log
+// line when over threshold. Traces exist for
 // every caller-started request (HTTP handlers propagate ids and always
-// trace) and for a deterministic 1-in-N Sample of engine-internal ones;
-// for the unsampled majority the hot-path cost is one atomic add — no
-// allocation, no clock reads beyond the engine's own two.
+// trace) and for a 1-in-N Sample of engine-internal ones; for the
+// unsampled majority the hot-path cost is a multiply and a compare — no
+// shared write, no allocation, no clock read beyond the engine's own two.
 
 // ReqPhase indexes one phase of a served request's lifecycle.
 type ReqPhase uint8
 
 const (
-	// ReqPhaseAdmission covers type/deadline checks and shard hashing up to
-	// the enqueue attempt.
+	// ReqPhaseAdmission covers everything before the cache lookup: type,
+	// brownout and in-flight checks, the snapshot pin, and the deadline and
+	// vertex checks.
 	ReqPhaseAdmission ReqPhase = iota
-	// ReqPhaseQueue is the bounded-queue wait between enqueue and dequeue.
-	ReqPhaseQueue
-	// ReqPhaseShard is shard dispatch: epoch check, cache invalidation and
-	// vertex validation after dequeue.
-	ReqPhaseShard
 	// ReqPhaseCache is the LRU lookup (and, on miss, the insert).
 	ReqPhaseCache
 	// ReqPhaseOracle is the actual evaluation: oracle query, spanner path
@@ -39,12 +36,12 @@ const (
 	NumReqPhases
 )
 
-var reqPhaseNames = [NumReqPhases]string{"admission", "queue", "shard", "cache", "oracle"}
+var reqPhaseNames = [NumReqPhases]string{"admission", "cache", "oracle"}
 
 // reqPhaseSpanNames are the emitted span names ("serve." + phase),
 // precomputed so the sampled-emission path does no string building.
 var reqPhaseSpanNames = [NumReqPhases]string{
-	"serve.admission", "serve.queue", "serve.shard", "serve.cache", "serve.oracle",
+	"serve.admission", "serve.cache", "serve.oracle",
 }
 
 func (p ReqPhase) String() string {
@@ -65,7 +62,7 @@ type ReqTrace struct {
 	Kind string
 	// U, V are the request endpoints.
 	U, V int32
-	// Cached reports whether the reply came from a shard LRU.
+	// Cached reports whether the reply came from the engine's LRU.
 	Cached bool
 	// Err is the terminal error string ("" on success).
 	Err string
@@ -103,19 +100,13 @@ func (t *ReqTrace) Outcome(cached bool, err error) {
 // Sampled reports whether Finish will emit this request's span tree.
 func (t *ReqTrace) Sampled() bool { return t != nil && t.sampled }
 
-// Start returns the trace's start instant (zero for nil).
-func (t *ReqTrace) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // ReqTracerConfig tunes a ReqTracer.
 type ReqTracerConfig struct {
 	// SampleEvery emits the full span tree for 1 in SampleEvery requests
-	// (1 = every request, 0 = never). Sampling is a deterministic counter,
-	// so a fixed workload always samples the same number of requests.
+	// (1 = every request, 0 = never). Start samples by a deterministic
+	// counter, so a fixed workload always samples the same requests;
+	// Sample, the engine's path for requests without a caller-owned trace,
+	// draws by a hash of the request's start instant.
 	SampleEvery int
 	// SlowThreshold logs any request slower than this through Logger with
 	// its full phase breakdown, independent of sampling (0 = disabled).
@@ -133,8 +124,11 @@ type ReqTracer struct {
 	obs  *Observer
 	cfg  ReqTracerConfig
 	seq  atomic.Int64 // request-id generator
-	tick atomic.Int64 // sampling counter
-	pool sync.Pool
+	tick atomic.Int64 // Start's sampling counter
+	// sampleMax is Sample's threshold: a request is sampled when the hash
+	// of its start instant does not exceed it.
+	sampleMax uint64
+	pool      sync.Pool
 
 	traced *Counter // obs.req.traced
 	slow   *Counter // obs.req.slow
@@ -144,6 +138,9 @@ type ReqTracer struct {
 // and slow-query records into cfg.Logger.
 func NewReqTracer(o *Observer, cfg ReqTracerConfig) *ReqTracer {
 	t := &ReqTracer{obs: o, cfg: cfg}
+	if cfg.SampleEvery > 0 {
+		t.sampleMax = math.MaxUint64 / uint64(cfg.SampleEvery)
+	}
 	t.pool.New = func() any { return new(ReqTrace) }
 	reg := o.Registry()
 	t.traced = reg.Counter("obs.req.traced")
@@ -175,21 +172,17 @@ func (t *ReqTracer) Start(kind string, u, v int32, id string) *ReqTrace {
 	return rt
 }
 
-// Sample opens a trace only when the deterministic 1-in-SampleEvery counter
-// fires; for the other requests it costs one atomic add and returns (nil,
-// false) — no allocation, no clock read. The serving engine uses this for
-// requests without a caller-owned trace, so the unsampled hot path stays
-// at bare-engine cost.
-func (t *ReqTracer) Sample(kind string, u, v int32) (*ReqTrace, bool) {
-	if t == nil {
-		return nil, false
-	}
-	n := int64(t.cfg.SampleEvery)
-	if n <= 0 || t.tick.Add(1)%n != 0 {
+// Sample opens a trace, started at the caller's clock reading at, for
+// about 1 in SampleEvery requests, chosen by a hash of at: the unsampled
+// majority costs a multiply and a compare — no shared write, no
+// allocation, no clock read. The serving engine uses this for requests
+// without a caller-owned trace.
+func (t *ReqTracer) Sample(kind string, u, v int32, at time.Time) (*ReqTrace, bool) {
+	if t == nil || t.cfg.SampleEvery <= 0 || uint64(at.UnixNano())*0x9e3779b97f4a7c15 > t.sampleMax {
 		return nil, false
 	}
 	rt := t.pool.Get().(*ReqTrace)
-	*rt = ReqTrace{Kind: kind, U: u, V: v, start: t.now(), sampled: true}
+	*rt = ReqTrace{Kind: kind, U: u, V: v, start: at, sampled: true}
 	rt.ID = "r-" + strconv.FormatInt(t.seq.Add(1), 10)
 	return rt, true
 }
@@ -246,8 +239,6 @@ func (t *ReqTracer) FinishAt(rt *ReqTrace, end time.Time) time.Duration {
 			"v", rt.V,
 			"total_us", total.Microseconds(),
 			"admission_us", rt.PhaseNS[ReqPhaseAdmission]/1000,
-			"queue_us", rt.PhaseNS[ReqPhaseQueue]/1000,
-			"shard_us", rt.PhaseNS[ReqPhaseShard]/1000,
 			"cache_us", rt.PhaseNS[ReqPhaseCache]/1000,
 			"oracle_us", rt.PhaseNS[ReqPhaseOracle]/1000,
 			"cached", rt.Cached,

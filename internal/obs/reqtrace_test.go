@@ -142,7 +142,7 @@ func TestReqTracerSlowQueryLog(t *testing.T) {
 
 	// Slow request: logged with the full phase breakdown.
 	rt = tr.Start("route", 4, 8, "slow-1")
-	rt.Phase(ReqPhaseQueue, 1*time.Millisecond)
+	rt.Phase(ReqPhaseAdmission, 1*time.Millisecond)
 	rt.Phase(ReqPhaseOracle, 2*time.Millisecond)
 	rt.Outcome(false, nil)
 	clk.Advance(3 * time.Millisecond)
@@ -151,7 +151,7 @@ func TestReqTracerSlowQueryLog(t *testing.T) {
 	line := logBuf.String()
 	for _, want := range []string{
 		"slow query", "req_id=slow-1", "type=route", "u=4", "v=8",
-		"total_us=3000", "queue_us=1000", "oracle_us=2000", "admission_us=0",
+		"total_us=3000", "admission_us=1000", "oracle_us=2000", "cache_us=0",
 	} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("slow-query log missing %q:\n%s", want, line)
@@ -171,7 +171,7 @@ func TestReqTracerSlowQueryLog(t *testing.T) {
 	clk2.Advance(500 * time.Microsecond)
 	tr2.Finish(rt)
 	rt = tr2.Start("route", 4, 8, "slow-1")
-	rt.Phase(ReqPhaseQueue, 1*time.Millisecond)
+	rt.Phase(ReqPhaseAdmission, 1*time.Millisecond)
 	rt.Phase(ReqPhaseOracle, 2*time.Millisecond)
 	rt.Outcome(false, nil)
 	clk2.Advance(3 * time.Millisecond)
@@ -187,7 +187,7 @@ func TestReqTraceNilSafety(t *testing.T) {
 	if rt != nil {
 		t.Fatal("nil tracer must return nil trace")
 	}
-	rt.Phase(ReqPhaseQueue, time.Millisecond) // no panic
+	rt.Phase(ReqPhaseAdmission, time.Millisecond) // no panic
 	rt.Outcome(true, nil)
 	if rt.Sampled() {
 		t.Fatal("nil trace cannot be sampled")
@@ -198,7 +198,7 @@ func TestReqTraceNilSafety(t *testing.T) {
 }
 
 func TestReqPhaseString(t *testing.T) {
-	want := []string{"admission", "queue", "shard", "cache", "oracle"}
+	want := []string{"admission", "cache", "oracle"}
 	for p := ReqPhase(0); p < NumReqPhases; p++ {
 		if p.String() != want[p] {
 			t.Fatalf("phase %d = %q, want %q", p, p.String(), want[p])

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // SLO monitoring for the serving stack: rolling-window availability and
@@ -83,21 +84,44 @@ func (c *sloSec) counts() (total, errs, slow int64) {
 	return int64(v & sloTotalMask), int64(v >> sloErrShift & sloErrMask), int64(v >> sloSlowShift)
 }
 
+// sloStripes is the number of rings an SLOMonitor spreads recordings over,
+// so concurrent recorders in the same second mostly add to different
+// cache lines.
+const sloStripes = 4
+
+// sloStripe picks the calling goroutine's ring by its stack address, which
+// stays put for a goroutine (until its stack moves) and differs between
+// live goroutines. Stacks are power-of-two sized and aligned, so the
+// address is hashed before it is reduced.
+func sloStripe() int64 {
+	var x byte
+	h := uint32(uintptr(unsafe.Pointer(&x))>>11) * 0x9e3779b9
+	return int64(uint64(h) * sloStripes >> 32)
+}
+
 // SLOMonitor accumulates request outcomes into per-second ring buckets.
 // Safe for concurrent use; the record path is atomic adds with a mutex
 // taken only for the once-per-second cell rotation, so it sits on the
 // serving hot path without becoming a contention point. A nil *SLOMonitor
 // is a valid no-op.
 type SLOMonitor struct {
-	mu   sync.Mutex // serializes ring-cell rotation, not recording
-	cfg  SLOConfig
+	mu  sync.Mutex // serializes ring-cell rotation, not recording
+	cfg SLOConfig
+	// ring holds sloStripes rings of size cells back to back; size is a
+	// power of two covering the window, and every cell carries its own
+	// second tag, so aggregation simply sums all cells in range.
 	ring []sloSec
+	size int64
 }
 
 // NewSLOMonitor returns a monitor with the given objectives.
 func NewSLOMonitor(cfg SLOConfig) *SLOMonitor {
 	cfg = cfg.withDefaults()
-	return &SLOMonitor{cfg: cfg, ring: make([]sloSec, int(cfg.Window/time.Second))}
+	size := int64(1)
+	for size < int64(cfg.Window/time.Second) {
+		size <<= 1
+	}
+	return &SLOMonitor{cfg: cfg, ring: make([]sloSec, sloStripes*size), size: size}
 }
 
 // Config returns the monitor's resolved configuration.
@@ -131,7 +155,7 @@ func (m *SLOMonitor) RecordAt(failed bool, lat time.Duration, at time.Time) {
 		return
 	}
 	sec := at.Unix()
-	cell := &m.ring[sec%int64(len(m.ring))]
+	cell := &m.ring[sloStripe()*m.size+sec&(m.size-1)]
 	if cell.sec.Load() != sec {
 		// Rotate the cell under the mutex; double-check so exactly one
 		// recorder resets it. A racing recorder that tagged the old second

@@ -1,14 +1,10 @@
 package serve
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// BenchmarkServeThroughput measures end-to-end engine throughput across
-// shard counts with caching on and off, over a fixed working set of vertex
-// pairs (so the cached runs actually hit). Feeds the EXPERIMENTS.md S1
-// table.
+// BenchmarkServeThroughput measures end-to-end engine throughput with
+// caching on and off, over a fixed working set of vertex pairs (so the
+// cached runs actually hit). Feeds the EXPERIMENTS.md S1 table.
 func BenchmarkServeThroughput(b *testing.B) {
 	a := testArtifact(b, 2000, 42)
 	n := int32(a.Graph.N())
@@ -26,46 +22,44 @@ func BenchmarkServeThroughput(b *testing.B) {
 		pairs[i] = [2]int32{u, int32(x % uint32(n))}
 	}
 	for _, typ := range []QueryType{QueryDist, QueryRoute} {
-		for _, shards := range []int{1, 4, 16} {
-			for _, cache := range []bool{false, true} {
-				cacheSize := -1
-				label := "nocache"
-				if cache {
-					cacheSize = 8192
-					label = "cache"
-				}
-				name := fmt.Sprintf("%s/shards=%d/%s", typ, shards, label)
-				b.Run(name, func(b *testing.B) {
-					e, err := New(a, Config{Shards: shards, QueueDepth: 4096, CacheSize: cacheSize})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer e.Close()
-					b.ReportAllocs()
-					b.ResetTimer()
-					b.RunParallel(func(pb *testing.PB) {
-						i := 0
-						for pb.Next() {
-							p := pairs[i%working]
-							i++
-							r := e.Query(Request{Type: typ, U: p[0], V: p[1]})
-							if r.Err != nil && r.Err != ErrNoRoute {
-								// Routing errors on disconnected pairs are
-								// expected; anything else is a bench bug.
-								_ = r
-							}
-						}
-					})
-				})
+		for _, cache := range []bool{false, true} {
+			cacheSize := -1
+			label := "nocache"
+			if cache {
+				cacheSize = 8192
+				label = "cache"
 			}
+			b.Run(typ.String()+"/"+label, func(b *testing.B) {
+				e, err := New(a, Config{CacheSize: cacheSize})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer e.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					i := 0
+					for pb.Next() {
+						p := pairs[i%working]
+						i++
+						r := e.Query(Request{Type: typ, U: p[0], V: p[1]})
+						if r.Err != nil && r.Err != ErrNoRoute {
+							// Routing errors on disconnected pairs are
+							// expected; anything else is a bench bug.
+							_ = r
+						}
+					}
+				})
+			})
 		}
 	}
 }
 
-// BenchmarkQueryBatch measures amortized batch submission.
+// BenchmarkQueryBatch measures a 256-entry batch answered on the calling
+// goroutine.
 func BenchmarkQueryBatch(b *testing.B) {
 	a := testArtifact(b, 2000, 43)
-	e, err := New(a, Config{Shards: 8, QueueDepth: 4096, CacheSize: 8192})
+	e, err := New(a, Config{CacheSize: 8192})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,54 @@
 package serve
 
-import "container/list"
+import (
+	"container/list"
+	"sync"
+)
 
-// lruCache is a fixed-capacity least-recently-used result cache. Each shard
-// owns one per query type and is driven by a single worker goroutine, so no
-// locking is needed on the hot path.
+// cachePart is one partition of the engine's result caches: a per-type LRU
+// for the endpoint pairs that hash to it, tagged with the snapshot
+// generation its entries were computed on. mu is held only around a lookup
+// or an insert, never while a query is evaluated.
+type cachePart struct {
+	mu    sync.Mutex
+	epoch int64
+	lru   [numQueryTypes]*lruCache
+}
+
+// at reports whether the partition holds generation gen's answers, first
+// resetting it when it still holds an older generation's. A request pinned
+// to an older snapshot than the partition's finds false and bypasses the
+// cache: it never reads, fills or resets a newer generation's entries.
+// Callers hold mu.
+func (p *cachePart) at(gen int64) bool {
+	if gen > p.epoch {
+		for _, c := range p.lru {
+			c.reset()
+		}
+		p.epoch = gen
+	}
+	return gen == p.epoch
+}
+
+func (p *cachePart) get(t QueryType, gen, key int64) (v cacheVal, ok bool) {
+	p.mu.Lock()
+	if p.at(gen) {
+		v, ok = p.lru[t].get(key)
+	}
+	p.mu.Unlock()
+	return v, ok
+}
+
+func (p *cachePart) put(t QueryType, gen, key int64, v cacheVal) {
+	p.mu.Lock()
+	if p.at(gen) {
+		p.lru[t].put(key, v)
+	}
+	p.mu.Unlock()
+}
+
+// lruCache is a fixed-capacity least-recently-used result cache. It is not
+// safe for concurrent use; its cachePart's mutex guards it.
 type lruCache struct {
 	cap int
 	ll  *list.List
@@ -59,5 +103,3 @@ func (c *lruCache) reset() {
 	c.ll.Init()
 	clear(c.m)
 }
-
-func (c *lruCache) len() int { return c.ll.Len() }

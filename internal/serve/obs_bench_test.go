@@ -61,7 +61,7 @@ func fullObsConfig(base Config) Config {
 func BenchmarkServeObservability(b *testing.B) {
 	a := testArtifact(b, 2000, 42)
 	pairs := obsBenchPairs(int32(a.Graph.N()))
-	base := Config{Shards: 4, QueueDepth: 4096, CacheSize: 8192}
+	base := Config{CacheSize: 8192}
 	for _, mode := range []string{"off", "counters", "on"} {
 		cfg := base
 		switch mode {
@@ -115,7 +115,7 @@ func TestObservabilityOverhead(t *testing.T) {
 	}
 	a := testArtifact(t, 2000, 42)
 	pairs := obsBenchPairs(int32(a.Graph.N()))
-	base := Config{Shards: 4, QueueDepth: 4096, CacheSize: 8192, Obs: obs.New(&countSink{})}
+	base := Config{CacheSize: 8192, Obs: obs.New(&countSink{})}
 
 	run := func(cfg Config) float64 {
 		res := testing.Benchmark(func(b *testing.B) {

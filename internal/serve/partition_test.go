@@ -19,14 +19,14 @@ func TestPartEngineAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := New(a, Config{Shards: 2, CacheSize: 64})
+	whole, err := New(a, Config{CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer whole.Close()
 
 	for _, p := range res.Parts {
-		eng, err := NewPart(p, Config{Shards: 2, CacheSize: 64})
+		eng, err := NewPart(p, Config{CacheSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestSwapPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewPart(res.Parts[0], Config{Shards: 1})
+	eng, err := NewPart(res.Parts[0], Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

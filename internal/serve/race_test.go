@@ -26,7 +26,7 @@ func TestConcurrentReadersRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(a, Config{Shards: 4, QueueDepth: 512, CacheSize: 128})
+	e, err := New(a, Config{CacheSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestConcurrentReadersRace(t *testing.T) {
 }
 
 // TestDeltaApplyEvictionRace pins the interaction the epoch design leaves
-// implicit: per-shard caches self-invalidate on the first dequeue after a
+// implicit: cache partitions self-invalidate on their first use after a
 // generation change, and with a tiny capacity the LRU is simultaneously
 // evicting under reader pressure. A delta apply (patch + swap) landing in
 // the middle must not tear either structure. Run via `make dynamic`
@@ -95,9 +95,8 @@ func TestConcurrentReadersRace(t *testing.T) {
 func TestDeltaApplyEvictionRace(t *testing.T) {
 	a := testArtifact(t, 100, 13)
 	fwd, back, _ := testDelta(t, a)
-	// CacheSize 4 forces eviction on nearly every put; QueueDepth is large
-	// so no reads are rejected while an apply rebuilds the oracle.
-	e, err := New(a, Config{Shards: 2, QueueDepth: 4096, CacheSize: 4})
+	// CacheSize 4 forces eviction on nearly every put.
+	e, err := New(a, Config{CacheSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ import (
 
 func TestBrownoutShedsLowPriority(t *testing.T) {
 	a := testArtifact(t, 200, 1)
-	e, err := New(a, Config{Shards: 2})
+	e, err := New(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,43 +41,28 @@ func TestBrownoutShedsLowPriority(t *testing.T) {
 	}
 }
 
-// TestDegradedDistWhenQueueFull jams the single shard and checks the
-// brownout fallback: distance queries get an inline landmark upper bound
-// flagged Degraded, other query types still shed, and without brownout the
-// same overload is a plain rejection.
-func TestDegradedDistWhenQueueFull(t *testing.T) {
+// TestDegradedDistOverLimit holds the engine at its in-flight limit and
+// checks the brownout fallback: distance queries get a landmark upper
+// bound flagged Degraded, other query types still shed, and without
+// brownout the same overload is a plain rejection.
+func TestDegradedDistOverLimit(t *testing.T) {
 	a := testArtifact(t, 200, 2)
-	e, err := New(a, Config{Shards: 1, QueueDepth: 1})
+	e, err := New(a, Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	h := hold(e, 1)
+	held := h.start(e, Request{Type: QueryDist, U: 0, V: 1})
+	defer func() {
+		close(h.release)
+		<-held
+	}()
 
-	blocked := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	e.testHook = func() {
-		once.Do(func() { close(blocked) })
-		<-release
-	}
-	defer close(release)
-
-	var wg sync.WaitGroup
-	var head, queued Reply
-	wg.Add(1)
-	if !e.submit(Request{Type: QueryDist, U: 0, V: 1}, &head, &wg) {
-		t.Fatal("head submit rejected")
-	}
-	<-blocked
-	wg.Add(1)
-	if !e.submit(Request{Type: QueryDist, U: 0, V: 2}, &queued, &wg) {
-		t.Fatal("second submit should occupy the queue slot")
-	}
-
-	// Queue full, no brownout: plain overload.
+	// At the limit, no brownout: plain overload.
 	r := e.Query(Request{Type: QueryDist, U: 3, V: 9})
 	if !errors.Is(r.Err, ErrOverloaded) {
-		t.Fatalf("full queue without brownout: %v, want ErrOverloaded", r.Err)
+		t.Fatalf("at the limit without brownout: %v, want ErrOverloaded", r.Err)
 	}
 
 	e.SetBrownout(true)
@@ -119,7 +103,6 @@ func TestBrownoutControllerPagesAndRecovers(t *testing.T) {
 	now := func() time.Time { return time.Unix(0, fake.Load()) }
 	slo := obs.NewSLOMonitor(obs.SLOConfig{Window: 12 * time.Second, Now: now})
 	e, err := New(a, Config{
-		Shards:       1,
 		SLO:          slo,
 		BrownoutPoll: 2 * time.Millisecond,
 		BrownoutHold: 6 * time.Millisecond,
@@ -160,7 +143,7 @@ func TestBrownoutControllerPagesAndRecovers(t *testing.T) {
 
 func TestMaxBatchShrinksUnderBrownout(t *testing.T) {
 	a := testArtifact(t, 100, 4)
-	e, err := New(a, Config{Shards: 1, MaxBatch: 400})
+	e, err := New(a, Config{MaxBatch: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +157,7 @@ func TestMaxBatchShrinksUnderBrownout(t *testing.T) {
 	}
 	e.SetBrownout(false)
 
-	e2, err := New(a, Config{Shards: 1})
+	e2, err := New(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +196,7 @@ func TestResilienceOverhead(t *testing.T) {
 	}
 	a := testArtifact(t, 2000, 42)
 	pairs := obsBenchPairs(int32(a.Graph.N()))
-	base := Config{Shards: 4, QueueDepth: 4096, CacheSize: 8192, Obs: obs.New(&countSink{})}
+	base := Config{CacheSize: 8192, Obs: obs.New(&countSink{})}
 	resilient := base
 	resilient.SLO = obs.NewSLOMonitor(obs.SLOConfig{})
 	resilient.BrownoutPoll = 10 * time.Millisecond

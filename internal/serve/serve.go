@@ -1,27 +1,30 @@
-// Package serve is the query-serving subsystem: a concurrent, sharded
-// query engine over a loaded build artifact. It is the consumption side of
-// the build-once/query-many split the paper's applications motivate — the
+// Package serve is the query-serving subsystem: a concurrent query engine
+// over a loaded build artifact. It is the consumption side of the
+// build-once/query-many split the paper's applications motivate — the
 // distributed builders produce a spanner, distance oracle and routing
 // scheme once; this engine answers millions of Dist/Path/Route queries
 // against the frozen result.
 //
-// Architecture. An Engine owns a fixed set of shards. Each shard is one
-// worker goroutine with a bounded request queue and private LRU result
-// caches (one per query type), so the hot path touches no locks: requests
-// hash to a shard by endpoint pair (concentrating repeats on the same
-// cache), the worker answers from cache or computes against the current
-// Snapshot, and replies flow back through per-request WaitGroups. Admission
-// control is at enqueue time — a full queue rejects with ErrOverloaded
-// rather than building unbounded backlog — and requests whose deadline
-// passed while queued are rejected with ErrDeadline instead of wasting
-// compute on answers nobody is waiting for.
+// Architecture. Query and QueryBatch evaluate on the caller's goroutine;
+// the engine starts no goroutine of its own except the optional brownout
+// controller. Admission control is one atomic in-flight counter checked
+// against Config.MaxInFlight: a request arriving at the limit is refused
+// with ErrOverloaded rather than waiting, and a batch entry whose deadline
+// has passed when its turn comes is refused with ErrDeadline instead of
+// wasting compute on an answer nobody is waiting for. QueryBatch answers
+// its entries in order, one after another; parallelism across requests
+// comes from the transports — the wire server's per-connection Workers and
+// HTTP's goroutine per request. Results are memoized in per-type LRU
+// caches split into GOMAXPROCS partitions by endpoint pair, each guarded by
+// a mutex held only for the lookup or the insert.
 //
 // Hot swap. The current Snapshot hangs off an atomic pointer. Swap installs
 // a new generation in one store; each request pins the snapshot pointer
-// once at execution start, so in-flight queries finish on the generation
-// they started with while new requests see the new one — no locks, no
-// drain, no dropped or torn answers. Shard caches are keyed to the snapshot
-// generation and self-invalidate on first use after a swap.
+// once after admission, so in-flight queries finish on the generation they
+// started with while new requests see the new one — no locks, no drain, no
+// dropped or torn answers. Cache partitions are tagged with the generation
+// they hold and reset on first use under a newer one; a request pinned to
+// an older generation bypasses them.
 //
 // All counters and latency histograms flow through internal/obs; a nil
 // Observer disables them at the cost of nil checks.
@@ -29,6 +32,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -107,9 +111,11 @@ func (p Priority) String() string {
 
 // Typed rejection errors, matchable with errors.Is.
 var (
-	// ErrOverloaded reports a full shard queue (admission control).
-	ErrOverloaded = errors.New("serve: overloaded, shard queue full")
-	// ErrDeadline reports a request whose deadline expired while queued.
+	// ErrOverloaded reports a request refused at the in-flight limit
+	// (admission control).
+	ErrOverloaded = errors.New("serve: overloaded, in-flight limit reached")
+	// ErrDeadline reports a request whose deadline had passed when its
+	// evaluation was due to start.
 	ErrDeadline = errors.New("serve: deadline exceeded before execution")
 	// ErrClosed reports a request submitted after Close began.
 	ErrClosed = errors.New("serve: engine closed")
@@ -138,8 +144,9 @@ type Request struct {
 	// Priority classifies the request for brownout shedding; the zero value
 	// is PriorityHigh.
 	Priority Priority
-	// Deadline, when non-zero, rejects the request if it is still queued at
-	// that instant. The zero value applies Config.DefaultDeadline.
+	// Deadline, when non-zero, rejects the request if its evaluation has
+	// not started by that instant (in a batch, earlier entries run first).
+	// The zero value applies Config.DefaultDeadline.
 	Deadline time.Time
 	// Trace, when non-nil, is a caller-owned request trace (e.g. started by
 	// an HTTP handler with a propagated request id). The engine stamps phase
@@ -170,12 +177,12 @@ type Reply struct {
 	// lower bound max_t |d(u,t)−d(t,v)| ≤ dist(u,v) (graph.Unreachable when
 	// undefined).
 	Bound int32
-	// Cached reports whether the answer came from the shard's LRU.
+	// Cached reports whether the answer came from the engine's LRU.
 	Cached bool
 	// Degraded reports a brownout fallback answer: a landmark-distance upper
-	// bound computed inline instead of the exact oracle estimate, served when
-	// the shard queue is full rather than failing the request. Always
-	// explicitly flagged, never silently substituted.
+	// bound instead of the exact oracle estimate, served at the in-flight
+	// limit rather than failing the request. Always explicitly flagged,
+	// never silently substituted.
 	Degraded bool
 	// Composed reports a cross-partition distance answer on a part snapshot:
 	// Dist is the landmark-relay upper bound min_t(d(u,t)+d(t,v)) and Bound
@@ -190,30 +197,30 @@ type Reply struct {
 
 // Config tunes an Engine. The zero value picks sensible defaults.
 type Config struct {
-	// Shards is the number of worker goroutines (and cache partitions);
-	// 0 means GOMAXPROCS.
-	Shards int
-	// QueueDepth is each shard's bounded queue length; 0 means 1024.
-	QueueDepth int
-	// CacheSize is each shard's per-query-type LRU capacity; 0 means 4096,
-	// negative disables caching.
+	// MaxInFlight bounds the evaluations running at once across all
+	// callers; a request arriving at the limit is refused with
+	// ErrOverloaded (under brownout a distance query gets the Degraded
+	// landmark bound instead). 0 means 1024·GOMAXPROCS.
+	MaxInFlight int
+	// CacheSize is each cache partition's per-query-type LRU capacity
+	// (there are GOMAXPROCS partitions); 0 means 4096, negative disables
+	// caching.
 	CacheSize int
-	// DefaultDeadline, when positive, is applied to requests with a zero
-	// Deadline.
+	// DefaultDeadline, when positive, is applied to batch entries with a
+	// zero Deadline, counted from the start of the QueryBatch call.
 	DefaultDeadline time.Duration
 	// Obs receives serve.* counters and latency histograms (nil = off).
 	Obs *obs.Observer
 	// Tracer enables request-scoped tracing. Requests that arrive with a
 	// caller-owned Trace (HTTP handlers always attach one) get full
 	// per-phase timing, the slow-query log and — when sampled — a span
-	// tree. Requests without one are traced for a deterministic 1-in-N
-	// sample per the tracer's config; the unsampled majority runs at
-	// bare-engine cost. Per-phase serve.phase_ns histograms are fed by
-	// every traced request (nil = off).
+	// tree. About 1 in the tracer's SampleEvery admitted requests without
+	// one are traced too; the unsampled majority runs at bare-engine cost.
+	// Per-phase serve.phase_ns histograms are fed by every traced request
+	// (nil = off).
 	Tracer *obs.ReqTracer
 	// SLO, when non-nil, receives one availability/latency observation per
-	// engine-owned request (requests carrying a caller-owned Trace are the
-	// caller's to record, with the caller's notion of total latency).
+	// request.
 	SLO *obs.SLOMonitor
 	// MaxBatch is the batch-size limit the engine advertises via MaxBatch();
 	// 0 means 1024. The engine itself does not reject oversized QueryBatch
@@ -231,11 +238,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = 1024 * runtime.GOMAXPROCS(0)
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
@@ -249,31 +253,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one queued unit of work: the request, where to write the reply,
-// and the WaitGroup to release when done. When tracing or SLO recording is
-// on, it also carries the request's trace context and submit/enqueue
-// instants so the worker can attribute queue wait.
-type task struct {
-	req   Request
-	reply *Reply
-	wg    *sync.WaitGroup
+// rejectReason labels one serve.rejects series.
+type rejectReason uint8
 
-	rt    *obs.ReqTrace
-	owned bool      // engine started rt and must finish it
-	t0    time.Time // submit entry (request start for engine-owned timing)
-	enq   time.Time // enqueue instant (queue wait = dequeue - enq)
-}
+const (
+	rejectOverload rejectReason = iota
+	rejectDeadline
+	rejectVertex
+	rejectType
+	rejectClosed
+	rejectBrownout
+	rejectPartition
+	numRejectReasons
+)
 
-type shard struct {
-	ch     chan task
-	caches [numQueryTypes]*lruCache
-	// epoch is the snapshot generation the caches hold answers for; a
-	// mismatch on dequeue resets them (hot-swap invalidation).
-	epoch   int64
-	scratch pathScratch
-}
+var rejectReasonNames = [numRejectReasons]string{"overload", "deadline", "vertex", "type", "closed", "brownout", "partition"}
 
-// Engine is the sharded query engine. Create with New, stop with Close.
+// Engine is the query engine. Create with New, stop with Close.
 type Engine struct {
 	cfg  Config
 	snap atomic.Pointer[Snapshot]
@@ -282,35 +278,44 @@ type Engine struct {
 	// never publish an older generation over a newer one.
 	installMu sync.Mutex
 	snapSeq   int64
-	shards    []*shard
-	wg        sync.WaitGroup
 
-	// mu guards closed against concurrent submits racing channel close.
-	mu     sync.RWMutex
-	closed bool
+	// inflight counts admitted evaluations. Once closed is set, admission
+	// refuses everything and the evaluation that brings inflight to zero
+	// closes drained, which Close waits on.
+	inflight  atomic.Int64
+	closed    atomic.Bool
+	closeOnce sync.Once
+	drainOnce sync.Once
+	drained   chan struct{}
+
+	// parts are the result-cache partitions (nil when caching is off);
+	// scratch pools path-query BFS state.
+	parts   []cachePart
+	scratch sync.Pool
 
 	// brownout is the load-shedding flag: set by the controller goroutine
-	// when the SLO monitor pages (or by SetBrownout), read once per submit.
+	// when the SLO monitor pages (or by SetBrownout), read once per request.
 	brownout atomic.Bool
 	// stop ends the brownout controller on Close (nil when no controller).
 	stop chan struct{}
+	wg   sync.WaitGroup
 
-	// testHook, when non-nil, runs at the start of each task execution;
-	// tests use it to hold a worker busy and back up a queue
-	// deterministically.
+	// testHook, when non-nil, runs at the start of each admitted
+	// evaluation, after the snapshot is pinned; tests use it to hold
+	// evaluations in flight deterministically.
 	testHook func()
 
-	// Request-scoped observability (all nil-safe).
-	tracer  *obs.ReqTracer
-	slo     *obs.SLOMonitor
+	// Request-scoped observability (nil-safe; tracer and SLO are in cfg).
 	phaseNS [obs.NumReqPhases]*obs.Histogram
+	// timed reports whether anything consumes per-request clock readings.
+	timed bool
 
 	// Metrics (nil-safe no-ops without an Observer).
 	queries   [numQueryTypes]*obs.Counter
 	hits      [numQueryTypes]*obs.Counter
 	misses    [numQueryTypes]*obs.Counter
 	latency   [numQueryTypes]*obs.Histogram
-	rejects   map[string]*obs.Counter
+	rejects   [numRejectReasons]*obs.Counter
 	degraded  *obs.Counter
 	composed  *obs.Counter
 	brownouts *obs.Counter
@@ -321,7 +326,10 @@ type Engine struct {
 
 	// updateMu serializes ApplyDelta calls: each delta binds to a specific
 	// base generation, so concurrent applies must observe each other.
-	updateMu    sync.Mutex
+	updateMu sync.Mutex
+	// applyHook, when non-nil, runs in ApplyDelta between patching the
+	// base and installing the result; tests use it to land a Swap there.
+	applyHook   func()
 	updates     *obs.Counter
 	updateErrs  *obs.Counter
 	updateUS    *obs.Histogram
@@ -331,13 +339,13 @@ type Engine struct {
 	updRebuilds *obs.Counter
 }
 
-// New builds an engine over the artifact and starts its shard workers.
+// New builds an engine over the artifact.
 func New(a *artifact.Artifact, cfg Config) (*Engine, error) {
 	if a == nil || a.Graph == nil || a.Spanner == nil || a.Oracle == nil || a.Routing == nil {
 		return nil, errors.New("serve: incomplete artifact")
 	}
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, rejects: make(map[string]*obs.Counter)}
+	e := &Engine{cfg: cfg, drained: make(chan struct{})}
 	reg := cfg.Obs.Registry()
 	for t := QueryType(0); t < numQueryTypes; t++ {
 		lbl := obs.Label{Key: "type", Value: t.String()}
@@ -346,8 +354,8 @@ func New(a *artifact.Artifact, cfg Config) (*Engine, error) {
 		e.misses[t] = reg.Counter("serve.cache.misses", lbl)
 		e.latency[t] = reg.Histogram("serve.latency_us", lbl)
 	}
-	for _, reason := range []string{"overload", "deadline", "vertex", "type", "closed", "brownout", "partition"} {
-		e.rejects[reason] = reg.Counter("serve.rejects", obs.Label{Key: "reason", Value: reason})
+	for r, name := range rejectReasonNames {
+		e.rejects[r] = reg.Counter("serve.rejects", obs.Label{Key: "reason", Value: name})
 	}
 	e.degraded = reg.Counter("serve.degraded")
 	e.composed = reg.Counter("serve.composed")
@@ -363,25 +371,23 @@ func New(a *artifact.Artifact, cfg Config) (*Engine, error) {
 	e.batches = reg.Histogram("serve.batch_size")
 	e.routeHops = reg.Histogram("serve.route.hops")
 	e.routeGain = reg.Histogram("serve.route.bound_minus_hops")
-	e.tracer = cfg.Tracer
-	e.slo = cfg.SLO
+	e.timed = cfg.Obs != nil || cfg.SLO != nil || cfg.Tracer != nil
 	for p := obs.ReqPhase(0); p < obs.NumReqPhases; p++ {
 		e.phaseNS[p] = reg.Histogram("serve.phase_ns", obs.Label{Key: "phase", Value: p.String()})
 	}
-
-	e.install(newSnapshot(a))
-	e.shards = make([]*shard, cfg.Shards)
-	for i := range e.shards {
-		s := &shard{ch: make(chan task, cfg.QueueDepth)}
-		if cfg.CacheSize > 0 {
-			for t := range s.caches {
-				s.caches[t] = newLRU(cfg.CacheSize)
+	if cfg.CacheSize > 0 {
+		e.parts = make([]cachePart, runtime.GOMAXPROCS(0))
+		for i := range e.parts {
+			for t := range e.parts[i].lru {
+				e.parts[i].lru[t] = newLRU(cfg.CacheSize)
 			}
 		}
-		e.shards[i] = s
-		e.wg.Add(1)
-		go e.worker(s)
 	}
+	e.scratch.New = func() any { return new(pathScratch) }
+
+	snap := newSnapshot(a)
+	snap.ID, e.snapSeq = 1, 1
+	e.snap.Store(snap)
 	if cfg.SLO != nil && cfg.BrownoutPoll > 0 {
 		e.stop = make(chan struct{})
 		e.wg.Add(1)
@@ -405,7 +411,7 @@ func (e *Engine) brownoutLoop() {
 		case <-e.stop:
 			return
 		case now := <-tick.C:
-			switch e.slo.Report().Status {
+			switch e.cfg.SLO.Report().Status {
 			case "page":
 				lastPage = now
 				if !e.brownout.Load() {
@@ -452,6 +458,16 @@ func (e *Engine) MaxBatch() int {
 	return max
 }
 
+// SetTestHook installs h to run at the start of every admitted
+// evaluation, after the snapshot is pinned: tests in other packages use it
+// to hold evaluations in flight deterministically. nil removes it. Call it
+// only while no query is running.
+func (e *Engine) SetTestHook(h func()) { e.testHook = h }
+
+// InFlight reports the number of evaluations currently admitted; spannerd
+// exports it as the serve.inflight gauge.
+func (e *Engine) InFlight() int { return int(e.inflight.Load()) }
+
 // Snapshot returns the current serving generation.
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
@@ -459,27 +475,34 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 func (e *Engine) SnapshotID() int64 { return e.snap.Load().ID }
 
 // Swap atomically installs a new artifact under live traffic and returns
-// the new generation id. Requests already executing finish on the old
-// snapshot; requests dequeued afterwards see the new one. The old snapshot
-// is garbage once its last in-flight query completes.
+// the new generation id. Evaluations already running finish on the old
+// snapshot; evaluations starting afterwards see the new one. The old
+// snapshot is garbage once its last in-flight query completes.
 func (e *Engine) Swap(a *artifact.Artifact) (int64, error) {
 	if a == nil || a.Graph == nil || a.Spanner == nil || a.Oracle == nil || a.Routing == nil {
 		return 0, errors.New("serve: incomplete artifact")
 	}
-	id := e.install(newSnapshot(a))
-	e.swaps.Inc()
+	id, _ := e.install(newSnapshot(a), nil)
 	return id, nil
 }
 
-// install publishes snap as the next generation and returns its id. The
-// snapshot is built before the call, outside the lock.
-func (e *Engine) install(snap *Snapshot) int64 {
+// install publishes snap as the next generation, counts the swap and
+// returns its id. The snapshot is built before the call, outside the lock.
+// A non-nil base makes the install conditional: if another install
+// replaced base in the meantime, nothing is published and the error wraps
+// artifact.ErrBaseMismatch.
+func (e *Engine) install(snap, base *Snapshot) (int64, error) {
 	e.installMu.Lock()
 	defer e.installMu.Unlock()
+	if cur := e.snap.Load(); base != nil && cur != base {
+		return 0, fmt.Errorf("%w: generation %d replaced by %d during the apply",
+			artifact.ErrBaseMismatch, base.ID, cur.ID)
+	}
 	e.snapSeq++
 	snap.ID = e.snapSeq
 	e.snap.Store(snap)
-	return snap.ID
+	e.swaps.Inc()
+	return snap.ID, nil
 }
 
 // NewPart builds an engine serving one partition of a split artifact:
@@ -510,17 +533,16 @@ func (e *Engine) SwapPart(p *artifact.Part) (int64, error) {
 	if p == nil || p.Art == nil || p.Art.Graph == nil || p.Art.Spanner == nil || p.Art.Oracle == nil || p.Art.Routing == nil {
 		return 0, errors.New("serve: incomplete part")
 	}
-	id := e.install(newPartSnapshot(p))
-	e.swaps.Inc()
+	id, _ := e.install(newPartSnapshot(p), nil)
 	return id, nil
 }
 
-// shardFor hashes an endpoint pair to a shard, so repeated queries for the
-// same pair land on the same cache.
-func (e *Engine) shardFor(u, v int32) *shard {
+// part hashes an endpoint pair to a cache partition, so repeated queries
+// for the same pair land on the same LRU.
+func (e *Engine) part(u, v int32) *cachePart {
 	h := uint32(u)*2654435761 ^ uint32(v)*0x85ebca6b
 	h ^= h >> 16
-	return e.shards[h%uint32(len(e.shards))]
+	return &e.parts[h%uint32(len(e.parts))]
 }
 
 // sloFailed reports whether a reply counts against the availability
@@ -531,127 +553,245 @@ func sloFailed(err error) bool {
 	return err != nil && !errors.Is(err, ErrNoRoute) && !errors.Is(err, ErrPartitioned)
 }
 
-// reject finishes a request answered (or refused) at admission time:
-// outcome into the trace, the owned trace closed, and the SLO observation.
-// A rejection records an availability miss; a degraded inline answer
-// (Err == nil) records a success — that is the point of serving it.
-// Admission completions are off the hot path, so the clock read is fine.
-func (e *Engine) reject(t *task) {
-	t.rt.Outcome(false, t.reply.Err)
-	if t.owned {
-		e.tracer.Finish(t.rt)
+// call is one request's observability context while it is answered.
+type call struct {
+	rt    *obs.ReqTrace
+	owned bool      // engine started rt and must finish it
+	t0    time.Time // request start, read only for traced requests
+}
+
+// finish closes out a request's observability: outcome into the trace, an
+// owned trace finished, and the SLO observation. start is the request's
+// first clock reading and end its completion instant; either is zero when
+// the request was refused before the engine read the clock.
+func (e *Engine) finish(c *call, r *Reply, start, end time.Time) {
+	if c.rt == nil && e.cfg.SLO == nil {
+		return
 	}
-	if e.slo != nil {
-		now := time.Now()
-		var lat time.Duration
-		if !t.t0.IsZero() {
-			lat = now.Sub(t.t0)
+	if end.IsZero() {
+		end = time.Now()
+	}
+	if c.rt != nil {
+		c.rt.Outcome(r.Cached, r.Err)
+		if c.owned {
+			e.cfg.Tracer.FinishAt(c.rt, end)
 		}
-		e.slo.RecordAt(sloFailed(t.reply.Err), lat, now)
+	}
+	if e.cfg.SLO != nil {
+		var lat time.Duration
+		if !start.IsZero() {
+			lat = end.Sub(start)
+		}
+		e.cfg.SLO.RecordAt(sloFailed(r.Err), lat, end)
 	}
 }
 
-// submit enqueues a request. On rejection it fills the reply and returns
-// false without touching wg; on success the worker will Done wg.
+// phase stamps a traced request's phase duration into the trace and the
+// serve.phase_ns histogram.
+func (e *Engine) phase(c *call, p obs.ReqPhase, d time.Duration) {
+	c.rt.Phase(p, d)
+	e.phaseNS[p].Observe(d.Nanoseconds())
+}
+
+// admit takes an in-flight slot, or reports why none is available. A
+// successful admit must be paired with release.
+func (e *Engine) admit() error {
+	n := e.inflight.Add(1)
+	if e.closed.Load() {
+		e.release()
+		return ErrClosed
+	}
+	if n > int64(e.cfg.MaxInFlight) {
+		e.release()
+		return ErrOverloaded
+	}
+	return nil
+}
+
+// release returns an in-flight slot; the last one out after Close wakes it.
+func (e *Engine) release() {
+	if e.inflight.Add(-1) == 0 && e.closed.Load() {
+		e.drainOnce.Do(func() { close(e.drained) })
+	}
+}
+
+// query answers one request on the calling goroutine. deadline applies
+// when req carries none.
 //
 // Observability cost discipline: a request is traced when the caller
 // supplied a Trace (HTTP handlers always do) or when the tracer's 1-in-N
-// sampler fires. Only traced requests read the clock here; the unsampled
-// majority pays one atomic add and reuses the two clock reads the worker
-// makes anyway, keeping full observability within a few percent of a bare
-// engine (asserted by TestObservabilityOverhead).
-func (e *Engine) submit(req Request, r *Reply, wg *sync.WaitGroup) bool {
-	t := task{req: req, reply: r, wg: wg, rt: req.Trace}
-	if t.rt != nil {
-		t.t0 = time.Now()
-	} else if rt, ok := e.tracer.Sample(req.Type.String(), req.U, req.V); ok {
-		t.rt = rt
-		t.owned = true
-		t.t0 = rt.Start()
-	}
-	if t.rt != nil && req.Transport != "" {
-		t.rt.Transport = req.Transport
+// sampler fires on an admitted request. Only traced requests read the
+// clock beyond the two readings the latency histogram takes; the
+// unsampled majority pays the sampler's hash of the first one, keeping
+// full observability within a few percent of a bare engine (asserted by
+// TestObservabilityOverhead).
+func (e *Engine) query(req Request, deadline time.Time) (r Reply) {
+	r = Reply{Type: req.Type, U: req.U, V: req.V}
+	c := call{rt: req.Trace}
+	if c.rt != nil {
+		c.t0 = time.Now()
+		if req.Transport != "" {
+			c.rt.Transport = req.Transport
+		}
 	}
 	if req.Type >= numQueryTypes {
-		*r = Reply{Type: req.Type, U: req.U, V: req.V, Err: ErrBadQuery}
-		e.rejects["type"].Inc()
-		e.reject(&t)
-		return false
+		return e.refuse(&c, r, ErrBadQuery, rejectType, c.t0)
 	}
 	// Brownout shedding: one atomic load on the no-fault path (asserted
 	// within the resilience-overhead budget by TestResilienceOverhead).
 	if req.Priority == PriorityLow && e.brownout.Load() {
-		*r = Reply{Type: req.Type, U: req.U, V: req.V, Err: ErrBrownout}
-		e.rejects["brownout"].Inc()
-		e.reject(&t)
-		return false
+		return e.refuse(&c, r, ErrBrownout, rejectBrownout, c.t0)
 	}
-	if req.Deadline.IsZero() && e.cfg.DefaultDeadline > 0 {
-		req.Deadline = time.Now().Add(e.cfg.DefaultDeadline)
-		t.req.Deadline = req.Deadline
+	if err := e.admit(); err == ErrClosed {
+		return e.refuse(&c, r, err, rejectClosed, c.t0)
+	} else if err != nil && (req.Type != QueryDist || !e.brownout.Load()) {
+		return e.refuse(&c, r, err, rejectOverload, c.t0)
+	} else if err != nil {
+		// Brownout fallback: over the in-flight limit, a distance query
+		// gets the snapshot's landmark bound — an upper bound, flagged
+		// Degraded — instead of a 503.
+		r = e.DegradedDist(req.U, req.V)
+		e.finish(&c, &r, c.t0, c.t0)
+		return r
 	}
-	s := e.shardFor(req.U, req.V)
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		*r = Reply{Type: req.Type, U: req.U, V: req.V, Err: ErrClosed}
-		e.rejects["closed"].Inc()
-		e.reject(&t)
-		return false
-	}
-	if t.rt != nil {
-		// Admission covers type/deadline checks and shard hashing up to the
-		// enqueue attempt.
-		t.enq = time.Now()
-		d := t.enq.Sub(t.t0)
-		t.rt.Phase(obs.ReqPhaseAdmission, d)
-		e.phaseNS[obs.ReqPhaseAdmission].Observe(d.Nanoseconds())
-	}
-	select {
-	case s.ch <- t:
-		e.mu.RUnlock()
-		return true
-	default:
-		e.mu.RUnlock()
-		if e.brownout.Load() && req.Type == QueryDist {
-			// Brownout fallback: a full queue answers distance queries
-			// inline on the caller's goroutine from the snapshot's cached
-			// landmark arrays — an upper bound, flagged Degraded, instead
-			// of a 503. Worker compute stays reserved for exact answers.
-			e.degradedDist(&t)
-			return false
-		}
-		*r = Reply{Type: req.Type, U: req.U, V: req.V, Err: ErrOverloaded}
-		e.rejects["overload"].Inc()
-		e.reject(&t)
-		return false
-	}
-}
+	defer e.release()
 
-// degradedDist fills t.reply with the landmark-approximate distance, the
-// brownout fallback for QueryDist when the shard queue is full. The reply
-// has Err == nil and Degraded == true; bad vertices still reject.
-func (e *Engine) degradedDist(t *task) {
-	req := t.req
 	snap := e.snap.Load()
-	*t.reply = Reply{Type: req.Type, U: req.U, V: req.V, SnapshotID: snap.ID}
-	if n := int32(snap.N()); req.U < 0 || req.U >= n || req.V < 0 || req.V >= n {
-		t.reply.Err = ErrBadVertex
-		e.rejects["vertex"].Inc()
-		e.reject(t)
-		return
+	r.SnapshotID = snap.ID
+	if h := e.testHook; h != nil {
+		h()
 	}
-	t.reply.Dist = snap.ApproxDist(req.U, req.V)
-	t.reply.Degraded = true
-	e.degraded.Inc()
+	if req.Deadline.IsZero() {
+		req.Deadline = deadline
+	}
+	start := c.t0
+	if start.IsZero() && (e.timed || !req.Deadline.IsZero()) {
+		start = time.Now()
+		if rt, ok := e.cfg.Tracer.Sample(req.Type.String(), req.U, req.V, start); ok {
+			c.rt, c.owned, c.t0 = rt, true, start
+			rt.Transport = req.Transport
+		}
+	}
+	if !req.Deadline.IsZero() && start.After(req.Deadline) {
+		return e.refuse(&c, r, ErrDeadline, rejectDeadline, start)
+	}
+	if n := int32(snap.N()); req.U < 0 || req.U >= n || req.V < 0 || req.V >= n {
+		return e.refuse(&c, r, ErrBadVertex, rejectVertex, start)
+	}
+	// Admission: everything before the cache lookup. A traced request
+	// marks its phase boundaries as offsets from start, which read only the
+	// monotonic clock.
+	var lookup time.Duration
+	if c.rt != nil {
+		lookup = time.Since(start)
+		e.phase(&c, obs.ReqPhaseAdmission, lookup)
+	}
+
+	var p *cachePart
+	var cv cacheVal
+	key := cacheKey(req.U, req.V)
+	if e.parts != nil {
+		p = e.part(req.U, req.V)
+		if cv, r.Cached = p.get(req.Type, snap.ID, key); r.Cached {
+			e.hits[req.Type].Inc()
+		} else {
+			e.misses[req.Type].Inc()
+		}
+	}
+	eval, evaluated := lookup, lookup
+	if !r.Cached {
+		if c.rt != nil {
+			eval = time.Since(start)
+		}
+		cv = e.evaluate(snap, req)
+		if evaluated = eval; c.rt != nil {
+			evaluated = time.Since(start)
+			e.phase(&c, obs.ReqPhaseOracle, evaluated-eval)
+		}
+		if p != nil {
+			p.put(req.Type, snap.ID, key, cv)
+		}
+	}
+	r.Dist, r.Bound, r.Path, r.Err, r.Composed = cv.dist, cv.bound, cv.path, cv.err, cv.composed
 	e.queries[req.Type].Inc()
-	e.reject(t)
+	var end time.Time
+	if !start.IsZero() {
+		end = time.Now()
+	}
+	if c.rt != nil {
+		// Cache time is the lookup plus, on a miss, the insert.
+		e.phase(&c, obs.ReqPhaseCache, eval-lookup+end.Sub(start)-evaluated)
+	}
+	e.latency[req.Type].Observe(end.Sub(start).Microseconds())
+	e.finish(&c, &r, start, end)
+	return r
 }
 
-// DegradedDist answers a distance query inline on the caller's goroutine
-// from the snapshot's cached landmark arrays: an upper bound on the true
-// distance, flagged Degraded, never queued. This is the same estimator the
-// brownout queue-full fallback serves; the cluster router calls it (via the
+// refuse answers r with err, counting the rejection under why; at is the
+// latest clock reading the request has (zero if none).
+func (e *Engine) refuse(c *call, r Reply, err error, why rejectReason, at time.Time) Reply {
+	r.Err = err
+	e.rejects[why].Inc()
+	e.finish(c, &r, at, at)
+	return r
+}
+
+// evaluate computes req's answer against snap.
+func (e *Engine) evaluate(snap *Snapshot, req Request) cacheVal {
+	cv := cacheVal{bound: graph.Unreachable}
+	switch req.Type {
+	case QueryDist:
+		if req.U != req.V && (!snap.Covered(req.U) || !snap.Covered(req.V)) {
+			// Part snapshot, endpoint bunch pruned away: the exact oracle
+			// walk is not available here, so answer the landmark-relay
+			// bracket, explicitly flagged Composed with its lower-bound
+			// certificate in Bound.
+			cv.dist, cv.bound = snap.ComposeDist(req.U, req.V)
+			cv.composed = true
+			e.composed.Inc()
+		} else {
+			cv.dist = snap.Art.Oracle.Query(req.U, req.V)
+		}
+	case QueryPath:
+		ps := e.scratch.Get().(*pathScratch)
+		cv.path = snap.spannerPath(req.U, req.V, ps)
+		e.scratch.Put(ps)
+		if cv.path == nil {
+			cv.dist = graph.Unreachable
+		} else {
+			cv.dist = int32(len(cv.path) - 1)
+		}
+	case QueryRoute:
+		if snap.part != nil {
+			// The part graph lacks foreign edges, so the routing tables'
+			// hop validation would fail spuriously; refuse instead of
+			// producing unusable routes.
+			cv.dist = graph.Unreachable
+			cv.err = ErrPartitioned
+			e.rejects[rejectPartition].Inc()
+			break
+		}
+		path, err := snap.Art.Routing.Route(req.U, req.V)
+		cv.bound = snap.RouteBound(req.U, req.V)
+		if err != nil {
+			cv.dist = graph.Unreachable
+			cv.err = errors.Join(ErrNoRoute, err)
+		} else {
+			cv.path = path
+			cv.dist = int32(len(path) - 1)
+			e.routeHops.Observe(int64(len(path) - 1))
+			if cv.bound != graph.Unreachable {
+				e.routeGain.Observe(int64(cv.bound) - int64(len(path)-1))
+			}
+		}
+	}
+	return cv
+}
+
+// DegradedDist answers a distance query from the snapshot's cached
+// landmark arrays: an upper bound on the true distance, flagged Degraded,
+// outside admission control. This is the same estimator the brownout
+// over-limit fallback serves; the cluster router calls it (via the
 // daemon's allowDegraded request flag) when quorum is lost and an exact
 // committed-generation answer cannot be guaranteed.
 func (e *Engine) DegradedDist(u, v int32) Reply {
@@ -659,7 +799,7 @@ func (e *Engine) DegradedDist(u, v int32) Reply {
 	r := Reply{Type: QueryDist, U: u, V: v, SnapshotID: snap.ID}
 	if n := int32(snap.N()); u < 0 || u >= n || v < 0 || v >= n {
 		r.Err = ErrBadVertex
-		e.rejects["vertex"].Inc()
+		e.rejects[rejectVertex].Inc()
 		return r
 	}
 	r.Dist = snap.ApproxDist(u, v)
@@ -669,30 +809,21 @@ func (e *Engine) DegradedDist(u, v int32) Reply {
 	return r
 }
 
-// Query answers one request, blocking until it completes or is rejected.
-func (e *Engine) Query(req Request) Reply {
-	var r Reply
-	var wg sync.WaitGroup
-	wg.Add(1)
-	if e.submit(req, &r, &wg) {
-		wg.Wait()
-	}
-	return r
-}
+// Query answers one request on the calling goroutine.
+func (e *Engine) Query(req Request) Reply { return e.query(req, time.Time{}) }
 
-// QueryBatch answers a batch, fanning the requests across shards and
-// gathering all replies (order matches the input). Rejections surface as
-// per-reply errors, never as lost entries.
+// QueryBatch answers a batch in input order on the calling goroutine.
+// Each entry is admitted on its own, so rejections surface as per-reply
+// errors, never as lost entries; DefaultDeadline counts from the call.
 func (e *Engine) QueryBatch(reqs []Request) []Reply {
-	replies := make([]Reply, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		if !e.submit(reqs[i], &replies[i], &wg) {
-			wg.Done()
-		}
+	var deadline time.Time
+	if e.cfg.DefaultDeadline > 0 {
+		deadline = time.Now().Add(e.cfg.DefaultDeadline)
 	}
-	wg.Wait()
+	replies := make([]Reply, len(reqs))
+	for i := range reqs {
+		replies[i] = e.query(reqs[i], deadline)
+	}
 	e.batches.Observe(int64(len(reqs)))
 	return replies
 }
@@ -715,204 +846,20 @@ func (e *Engine) Route(u, v int32) ([]int32, error) {
 	return r.Path, r.Err
 }
 
-// Close stops admission and drains: queued requests are still answered,
-// then the workers exit. Safe to call twice.
+// Close stops admission, waits for the evaluations already in flight and
+// stops the brownout controller; later requests get ErrClosed. Safe to
+// call twice.
 func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	if e.stop != nil {
-		close(e.stop)
-	}
-	for _, s := range e.shards {
-		close(s.ch)
-	}
-	e.mu.Unlock()
-	e.wg.Wait()
-}
-
-func (e *Engine) worker(s *shard) {
-	defer e.wg.Done()
-	for t := range s.ch {
-		e.process(s, t)
-	}
+	e.closeOnce.Do(func() {
+		e.closed.Store(true)
+		if e.inflight.Load() > 0 {
+			<-e.drained
+		}
+		if e.stop != nil {
+			close(e.stop)
+		}
+		e.wg.Wait()
+	})
 }
 
 func cacheKey(u, v int32) int64 { return int64(u)<<32 | int64(uint32(v)) }
-
-// finish closes out a completed (not rejected-at-admission) task's
-// observability: outcome into the trace, the owned trace finished, and the
-// SLO observation. Traced requests report full submit-to-completion
-// latency; untraced ones report the worker's dequeue-to-completion span —
-// the same two clock reads the engine makes regardless of observability.
-func (e *Engine) finish(t *task, start, end time.Time) {
-	t.rt.Outcome(t.reply.Cached, t.reply.Err)
-	if t.owned {
-		e.tracer.FinishAt(t.rt, end)
-	}
-	if e.slo != nil {
-		lat := end.Sub(start)
-		if !t.t0.IsZero() {
-			lat = end.Sub(t.t0)
-		}
-		e.slo.RecordAt(sloFailed(t.reply.Err), lat, end)
-	}
-}
-
-func (e *Engine) process(s *shard, t task) {
-	defer t.wg.Done()
-	if h := e.testHook; h != nil {
-		h()
-	}
-	start := time.Now()
-	traced := t.rt != nil
-	if traced {
-		d := start.Sub(t.enq)
-		t.rt.Phase(obs.ReqPhaseQueue, d)
-		e.phaseNS[obs.ReqPhaseQueue].Observe(d.Nanoseconds())
-	}
-	req := t.req
-	r := t.reply
-	*r = Reply{Type: req.Type, U: req.U, V: req.V}
-	if !req.Deadline.IsZero() && start.After(req.Deadline) {
-		r.Err = ErrDeadline
-		e.rejects["deadline"].Inc()
-		e.finish(&t, start, start)
-		return
-	}
-	snap := e.snap.Load()
-	r.SnapshotID = snap.ID
-	if s.epoch != snap.ID {
-		for _, c := range s.caches {
-			if c != nil {
-				c.reset()
-			}
-		}
-		s.epoch = snap.ID
-	}
-	badVertex := false
-	if n := int32(snap.N()); req.U < 0 || req.U >= n || req.V < 0 || req.V >= n {
-		badVertex = true
-	}
-	// Shard dispatch: epoch check, cache invalidation, vertex validation.
-	afterShard := start
-	if traced {
-		afterShard = time.Now()
-		d := afterShard.Sub(start)
-		t.rt.Phase(obs.ReqPhaseShard, d)
-		e.phaseNS[obs.ReqPhaseShard].Observe(d.Nanoseconds())
-	}
-	if badVertex {
-		r.Err = ErrBadVertex
-		e.rejects["vertex"].Inc()
-		e.finish(&t, start, afterShard)
-		return
-	}
-	key := cacheKey(req.U, req.V)
-	if c := s.caches[req.Type]; c != nil {
-		if cv, ok := c.get(key); ok {
-			r.Dist, r.Bound, r.Path, r.Err = cv.dist, cv.bound, cv.path, cv.err
-			r.Composed = cv.composed
-			r.Cached = true
-			e.hits[req.Type].Inc()
-			e.queries[req.Type].Inc()
-			end := time.Now()
-			if traced {
-				d := end.Sub(afterShard)
-				t.rt.Phase(obs.ReqPhaseCache, d)
-				e.phaseNS[obs.ReqPhaseCache].Observe(d.Nanoseconds())
-			}
-			e.latency[req.Type].Observe(end.Sub(start).Microseconds())
-			e.finish(&t, start, end)
-			return
-		}
-		e.misses[req.Type].Inc()
-	}
-	afterLookup := afterShard
-	if traced {
-		afterLookup = time.Now()
-		t.rt.Phase(obs.ReqPhaseCache, afterLookup.Sub(afterShard))
-	}
-
-	var cv cacheVal
-	cv.bound = graph.Unreachable
-	switch req.Type {
-	case QueryDist:
-		if req.U != req.V && (!snap.Covered(req.U) || !snap.Covered(req.V)) {
-			// Part snapshot, endpoint bunch pruned away: the exact oracle
-			// walk is not available here, so answer the landmark-relay
-			// bracket, explicitly flagged Composed with its lower-bound
-			// certificate in Bound.
-			cv.dist, cv.bound = snap.ComposeDist(req.U, req.V)
-			cv.composed = true
-			e.composed.Inc()
-		} else {
-			cv.dist = snap.Art.Oracle.Query(req.U, req.V)
-		}
-	case QueryPath:
-		cv.path = snap.spannerPath(req.U, req.V, &s.scratch)
-		if cv.path == nil {
-			cv.dist = graph.Unreachable
-		} else {
-			cv.dist = int32(len(cv.path) - 1)
-		}
-	case QueryRoute:
-		if snap.part != nil {
-			// The part graph lacks foreign edges, so the routing tables'
-			// hop validation would fail spuriously; refuse instead of
-			// producing unusable routes.
-			cv.dist = graph.Unreachable
-			cv.err = ErrPartitioned
-			e.rejects["partition"].Inc()
-			break
-		}
-		path, err := snap.Art.Routing.Route(req.U, req.V)
-		cv.bound = snap.RouteBound(req.U, req.V)
-		if err != nil {
-			cv.dist = graph.Unreachable
-			cv.err = errors.Join(ErrNoRoute, err)
-		} else {
-			cv.path = path
-			cv.dist = int32(len(path) - 1)
-			e.routeHops.Observe(int64(len(path) - 1))
-			if cv.bound != graph.Unreachable {
-				e.routeGain.Observe(int64(cv.bound) - int64(len(path)-1))
-			}
-		}
-	}
-	afterOracle := afterLookup
-	if traced {
-		afterOracle = time.Now()
-		d := afterOracle.Sub(afterLookup)
-		t.rt.Phase(obs.ReqPhaseOracle, d)
-		e.phaseNS[obs.ReqPhaseOracle].Observe(d.Nanoseconds())
-	}
-	if c := s.caches[req.Type]; c != nil {
-		c.put(key, cv)
-	}
-	r.Dist, r.Bound, r.Path, r.Err = cv.dist, cv.bound, cv.path, cv.err
-	r.Composed = cv.composed
-	e.queries[req.Type].Inc()
-	end := time.Now()
-	if traced {
-		// The miss-path cache phase is lookup + insert: add the insert tail.
-		d := end.Sub(afterOracle)
-		t.rt.Phase(obs.ReqPhaseCache, d)
-		e.phaseNS[obs.ReqPhaseCache].Observe(afterLookup.Sub(afterShard).Nanoseconds() + d.Nanoseconds())
-	}
-	e.latency[req.Type].Observe(end.Sub(start).Microseconds())
-	e.finish(&t, start, end)
-}
-
-// QueueDepths reports each shard's current queued-request count; index i is
-// shard i. Spannertop renders these as the shard backlog gauge.
-func (e *Engine) QueueDepths() []int {
-	d := make([]int, len(e.shards))
-	for i, s := range e.shards {
-		d[i] = len(s.ch)
-	}
-	return d
-}

@@ -3,7 +3,8 @@ package serve
 import (
 	"errors"
 	"math/rand"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func testArtifact(t testing.TB, n int, seed int64) *artifact.Artifact {
 
 func TestAnswersMatchDirectCalls(t *testing.T) {
 	a := testArtifact(t, 200, 1)
-	e, err := New(a, Config{Shards: 4, CacheSize: 128})
+	e, err := New(a, Config{CacheSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestAnswersMatchDirectCalls(t *testing.T) {
 
 func TestCacheHitsAreIdentical(t *testing.T) {
 	a := testArtifact(t, 150, 2)
-	e, err := New(a, Config{Shards: 2, CacheSize: 64})
+	e, err := New(a, Config{CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestCacheHitsAreIdentical(t *testing.T) {
 
 func TestBadInputsAreTyped(t *testing.T) {
 	a := testArtifact(t, 50, 3)
-	e, err := New(a, Config{Shards: 1})
+	e, err := New(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestBadInputsAreTyped(t *testing.T) {
 
 func TestDeadlineRejection(t *testing.T) {
 	a := testArtifact(t, 50, 4)
-	e, err := New(a, Config{Shards: 1})
+	e, err := New(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,80 +149,182 @@ func TestDeadlineRejection(t *testing.T) {
 	}
 }
 
+// holder parks evaluations in the engine's testHook: the first n to start
+// block until release is closed, announcing themselves on entered. The
+// hook runs after admission and after the snapshot is pinned, so a parked
+// evaluation holds an in-flight slot and a generation.
+type holder struct {
+	entered chan struct{}
+	release chan struct{}
+	left    atomic.Int32
+}
+
+// hold installs a holder for the first n evaluations; call it before any
+// query runs.
+func hold(e *Engine, n int) *holder {
+	h := &holder{entered: make(chan struct{}, n), release: make(chan struct{})}
+	h.left.Store(int32(n))
+	e.SetTestHook(func() {
+		if h.left.Add(-1) >= 0 {
+			h.entered <- struct{}{}
+			<-h.release
+		}
+	})
+	return h
+}
+
+// start runs req on its own goroutine and returns once its evaluation is
+// parked in the hook.
+func (h *holder) start(e *Engine, req Request) <-chan Reply {
+	out := make(chan Reply, 1)
+	go func() { out <- e.Query(req) }()
+	<-h.entered
+	return out
+}
+
 func TestAdmissionControlOverload(t *testing.T) {
 	a := testArtifact(t, 50, 5)
-	e, err := New(a, Config{Shards: 1, QueueDepth: 1, CacheSize: -1})
+	e, err := New(a, Config{MaxInFlight: 1, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	// Block the single worker so the queue backs up deterministically.
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	e.testHook = func() {
-		close(blocked)
-		<-release
+	h := hold(e, 1)
+	held := h.start(e, Request{Type: QueryDist, U: 0, V: 1})
+	if got := e.InFlight(); got != 1 {
+		t.Fatalf("InFlight = %d with one held evaluation, want 1", got)
 	}
-	var wg sync.WaitGroup
-	var first Reply
-	wg.Add(1)
-	if !e.submit(Request{Type: QueryDist, U: 0, V: 1}, &first, &wg) {
-		t.Fatal("first submit rejected")
+	if r := e.Query(Request{Type: QueryDist, U: 0, V: 1}); !errors.Is(r.Err, ErrOverloaded) {
+		t.Fatalf("at the limit: got %v, want ErrOverloaded", r.Err)
 	}
-	<-blocked // worker is now executing (and stuck); queue is empty
-	e.testHook = nil
-
-	var queued Reply
-	wg.Add(1)
-	if !e.submit(Request{Type: QueryDist, U: 0, V: 1}, &queued, &wg) {
-		t.Fatal("second submit should occupy the queue slot")
+	close(h.release)
+	if r := <-held; r.Err != nil || r.Dist != a.Oracle.Query(0, 1) {
+		t.Fatalf("admitted query must complete with the oracle answer: %+v", r)
 	}
-	var rejected Reply
-	wg.Add(1)
-	if e.submit(Request{Type: QueryDist, U: 0, V: 1}, &rejected, &wg) {
-		t.Fatal("third submit should be rejected")
+	if got := e.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after the held evaluation finished, want 0", got)
 	}
-	wg.Done() // the rejected submit never reaches a worker
-	if !errors.Is(rejected.Err, ErrOverloaded) {
-		t.Fatalf("overload: got %v, want ErrOverloaded", rejected.Err)
-	}
-	close(release)
-	wg.Wait()
-	if first.Err != nil || queued.Err != nil {
-		t.Fatalf("admitted queries must complete: %v / %v", first.Err, queued.Err)
+	if r := e.Query(Request{Type: QueryDist, U: 0, V: 1}); r.Err != nil {
+		t.Fatalf("below the limit again: %v", r.Err)
 	}
 }
 
-func TestCloseDrainsQueuedWork(t *testing.T) {
+func TestCloseDrainsInFlightEvaluations(t *testing.T) {
 	a := testArtifact(t, 100, 6)
-	e, err := New(a, Config{Shards: 2, QueueDepth: 256})
+	e, err := New(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const inflight = 64
-	var wg sync.WaitGroup
-	replies := make([]Reply, inflight)
-	var admitted int
-	for i := 0; i < inflight; i++ {
-		wg.Add(1)
-		if e.submit(Request{Type: QueryDist, U: int32(i % 100), V: int32((i * 7) % 100)}, &replies[i], &wg) {
-			admitted++
-		} else {
-			wg.Done()
+	h := hold(e, 2)
+	pairs := [][2]int32{{3, 71}, {40, 9}}
+	var held []<-chan Reply
+	for _, p := range pairs {
+		held = append(held, h.start(e, Request{Type: QueryDist, U: p[0], V: p[1]}))
+	}
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	for !e.closed.Load() {
+		runtime.Gosched()
+	}
+	// Admission is shut while the held evaluations still run.
+	if r := e.Query(Request{Type: QueryDist, U: 0, V: 1}); !errors.Is(r.Err, ErrClosed) {
+		t.Fatalf("during close: got %v, want ErrClosed", r.Err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while evaluations were still in flight")
+	default:
+	}
+	close(h.release)
+	<-closed
+	for i, ch := range held {
+		r := <-ch
+		if r.Err != nil || r.Dist != a.Oracle.Query(pairs[i][0], pairs[i][1]) {
+			t.Fatalf("held query %d not answered during drain: %+v", i, r)
 		}
 	}
-	e.Close() // must drain, not drop
-	wg.Wait()
-	for i := 0; i < admitted; i++ {
-		if replies[i].Err != nil {
-			t.Fatalf("admitted query %d dropped during drain: %v", i, replies[i].Err)
-		}
-	}
-	// After Close, new queries are rejected with ErrClosed.
 	if r := e.Query(Request{Type: QueryDist, U: 0, V: 1}); !errors.Is(r.Err, ErrClosed) {
 		t.Fatalf("post-close: got %v, want ErrClosed", r.Err)
 	}
 	e.Close() // idempotent
+}
+
+// TestHeldRequestLeavesNewerGenerationCache holds a request pinned to
+// generation g while Swap installs g+1 and a g+1 query fills its cache
+// entry. The held request must answer from g without reading, filling or
+// resetting the g+1 partition: the next g+1 query is a correct cache hit.
+func TestHeldRequestLeavesNewerGenerationCache(t *testing.T) {
+	a1 := testArtifact(t, 150, 7)
+	a2, err := artifact.Build(a1.Graph, a1.Spanner, "test", 3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pair the two generations answer differently, so a leaked entry in
+	// either direction shows up as a wrong distance.
+	n := int32(a1.Graph.N())
+	var u, v int32
+	for i := int32(0); i < n*n; i++ {
+		if u, v = i/n, i%n; a1.Oracle.Query(u, v) != a2.Oracle.Query(u, v) {
+			break
+		}
+	}
+	if a1.Oracle.Query(u, v) == a2.Oracle.Query(u, v) {
+		t.Fatal("no pair tells the two generations apart")
+	}
+	e, err := New(a1, Config{CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	h := hold(e, 1)
+	req := Request{Type: QueryDist, U: u, V: v}
+	held := h.start(e, req)
+	gen2, err := e.Swap(a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := e.Query(req); r.Cached || r.SnapshotID != gen2 || r.Dist != a2.Oracle.Query(u, v) {
+		t.Fatalf("first g+1 query: %+v", r)
+	}
+	close(h.release)
+	if r := <-held; r.Cached || r.SnapshotID != gen2-1 || r.Dist != a1.Oracle.Query(u, v) {
+		t.Fatalf("held g query read the newer cache or answered from the wrong generation: %+v", r)
+	}
+	if r := e.Query(req); !r.Cached || r.SnapshotID != gen2 || r.Dist != a2.Oracle.Query(u, v) {
+		t.Fatalf("g+1 entry was reset or overwritten by the older request: %+v", r)
+	}
+}
+
+// TestQueryZeroAlloc pins Engine.Query at zero allocations for a distance
+// query on a default engine, both uncached and as a cache hit.
+func TestQueryZeroAlloc(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector allocates; asserted unraced in make serve")
+	}
+	a := testArtifact(t, 200, 12)
+	for _, tc := range []struct {
+		name  string
+		cache int
+	}{{"nocache", -1}, {"hit", 0}} {
+		e, err := New(a, Config{CacheSize: tc.cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Type: QueryDist, U: 3, V: 77}
+		e.Query(req) // fills the cache in the hit case
+		var r Reply
+		allocs := testing.AllocsPerRun(500, func() { r = e.Query(req) })
+		e.Close()
+		if r.Err != nil || r.Cached != (tc.cache >= 0) {
+			t.Fatalf("%s: reply %+v", tc.name, r)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: Engine.Query makes %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
 }
 
 func TestHotSwapInvalidatesCachesAndChangesAnswers(t *testing.T) {
@@ -232,7 +335,7 @@ func TestHotSwapInvalidatesCachesAndChangesAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(a1, Config{Shards: 1, CacheSize: 64})
+	e, err := New(a1, Config{CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +360,7 @@ func TestHotSwapInvalidatesCachesAndChangesAnswers(t *testing.T) {
 		t.Fatalf("post-swap reply from generation %d, want %d", r2.SnapshotID, gen2)
 	}
 	if r2.Cached {
-		t.Fatal("swap must invalidate the shard caches")
+		t.Fatal("swap must invalidate the cache")
 	}
 	if want := a2.Oracle.Query(2, 140); r2.Dist != want {
 		t.Fatalf("gen2 answer %d, want new oracle's %d", r2.Dist, want)
@@ -266,7 +369,7 @@ func TestHotSwapInvalidatesCachesAndChangesAnswers(t *testing.T) {
 
 func TestQueryBatchKeepsOrder(t *testing.T) {
 	a := testArtifact(t, 120, 8)
-	e, err := New(a, Config{Shards: 4})
+	e, err := New(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +400,7 @@ func TestQueryBatchKeepsOrder(t *testing.T) {
 
 func TestRouteBoundIsSound(t *testing.T) {
 	a := testArtifact(t, 150, 9)
-	e, err := New(a, Config{Shards: 1, CacheSize: -1})
+	e, err := New(a, Config{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // a CSR graph for path queries, and the cached landmark distance arrays of
 // the routing scheme. Everything in a snapshot is built once at load/swap
 // time and only read afterwards, which is what makes lock-free sharing
-// across shards (and the atomic hot-swap) safe.
+// across concurrent callers (and the atomic hot-swap) safe.
 type Snapshot struct {
 	// ID is the engine-assigned generation number, monotonically increasing
 	// across swaps. Replies carry it so clients can tell which generation
@@ -93,9 +93,6 @@ func (s *Snapshot) ComposeDist(u, v int32) (upper, lower int32) {
 // N returns the vertex count of the snapshot's graph.
 func (s *Snapshot) N() int { return s.Art.Graph.N() }
 
-// SpannerGraph returns the materialized spanner.
-func (s *Snapshot) SpannerGraph() *graph.Graph { return s.spanner }
-
 // RouteBound returns the cached-landmark-distance upper bound on the
 // landmark-phase route u→ℓ_v→v, or graph.Unreachable when either endpoint
 // cannot reach v's landmark. The actual route is never longer than this
@@ -119,9 +116,9 @@ func (s *Snapshot) RouteBound(u, v int32) int32 {
 // ApproxDist returns the landmark-relay upper bound on dist(u,v): the
 // better of routing through v's landmark and through u's. It reads two
 // cached array entries per direction — no BFS, no oracle walk — which is
-// what lets the brownout path answer distance queries inline on the
-// caller's goroutine when the shard queues are full. graph.Unreachable when
-// neither relay connects the pair.
+// what lets the brownout path answer distance queries at the in-flight
+// limit without an oracle walk. graph.Unreachable when neither relay
+// connects the pair.
 func (s *Snapshot) ApproxDist(u, v int32) int32 {
 	b := s.RouteBound(u, v)
 	if rb := s.RouteBound(v, u); rb != graph.Unreachable && (b == graph.Unreachable || rb < b) {
@@ -130,8 +127,8 @@ func (s *Snapshot) ApproxDist(u, v int32) int32 {
 	return b
 }
 
-// pathScratch is per-shard BFS state for Path queries, reused across
-// requests so the steady-state hot path allocates only the result slice.
+// pathScratch is BFS state for Path queries, pooled across requests so the
+// steady-state hot path allocates only the result slice.
 type pathScratch struct {
 	dist   []int32
 	parent []int32

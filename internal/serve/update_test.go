@@ -41,7 +41,7 @@ func testDelta(t testing.TB, a *artifact.Artifact) (fwd, back *artifact.Delta, n
 func TestApplyDeltaInstallsNewGeneration(t *testing.T) {
 	a := testArtifact(t, 120, 7)
 	fwd, _, next := testDelta(t, a)
-	eng, err := New(a, Config{Shards: 2, CacheSize: 64})
+	eng, err := New(a, Config{CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestApplyDeltaInstallsNewGeneration(t *testing.T) {
 func TestApplyDeltaBaseMismatchTyped(t *testing.T) {
 	a := testArtifact(t, 80, 9)
 	fwd, _, _ := testDelta(t, a)
-	eng, err := New(a, Config{Shards: 1})
+	eng, err := New(a, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,41 @@ func TestApplyDeltaBaseMismatchTyped(t *testing.T) {
 	}
 }
 
+// TestSwapDuringApplyDeltaWins lands a Swap between the delta's patch and
+// its install. The swap returned success, so it must stay live: the delta,
+// patched against the replaced base, is refused with ErrBaseMismatch.
+func TestSwapDuringApplyDeltaWins(t *testing.T) {
+	a := testArtifact(t, 80, 9)
+	fwd, _, _ := testDelta(t, a)
+	x, err := artifact.Build(a.Graph, a.Spanner, "test", 3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(a, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var swapGen int64
+	var swapErr error
+	eng.applyHook = func() { swapGen, swapErr = eng.Swap(x) }
+	if _, err := eng.ApplyDelta(fwd); !errors.Is(err, artifact.ErrBaseMismatch) {
+		t.Fatalf("delta over a concurrent swap: %v, want ErrBaseMismatch", err)
+	}
+	if swapErr != nil {
+		t.Fatal(swapErr)
+	}
+	if snap := eng.Snapshot(); snap.Art != x || snap.ID != swapGen {
+		t.Fatalf("live generation %d is not the swapped-in artifact (swap returned %d)", snap.ID, swapGen)
+	}
+}
+
 func TestApplyDeltaMetrics(t *testing.T) {
 	a := testArtifact(t, 80, 3)
 	fwd, _, _ := testDelta(t, a)
 	fwd.Segments[0].Stats = artifact.SegmentStats{Admitted: 2, Filtered: 5, Repaired: 1, Rebuilds: 0}
 	ob := obs.New()
-	eng, err := New(a, Config{Shards: 1, Obs: ob})
+	eng, err := New(a, Config{Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +157,7 @@ func TestApplyDeltaMetrics(t *testing.T) {
 func TestApplyDeltaCacheInvalidation(t *testing.T) {
 	a := testArtifact(t, 100, 5)
 	fwd, back, next := testDelta(t, a)
-	eng, err := New(a, Config{Shards: 1, CacheSize: 512})
+	eng, err := New(a, Config{CacheSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

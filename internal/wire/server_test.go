@@ -132,7 +132,7 @@ func (rc *rawConn) query(corr uint64, q Query) Reply {
 }
 
 func TestServerHandshake(t *testing.T) {
-	addr, eng := startWire(t, serve.Config{Shards: 2, CacheSize: 64}, ServerConfig{})
+	addr, eng := startWire(t, serve.Config{CacheSize: 64}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	ack := rc.handshake()
 	if ack.Version != Version {
@@ -150,7 +150,7 @@ func TestServerHandshake(t *testing.T) {
 }
 
 func TestServerRefusesVersionMismatch(t *testing.T) {
-	addr, _ := startWire(t, serve.Config{Shards: 1}, ServerConfig{})
+	addr, _ := startWire(t, serve.Config{}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.send(AppendHelloFrame(nil, Hello{Version: Version + 7}))
 	hdr, payload := rc.recv()
@@ -167,7 +167,7 @@ func TestServerRefusesVersionMismatch(t *testing.T) {
 }
 
 func TestServerRefusesNonHelloFirst(t *testing.T) {
-	addr, _ := startWire(t, serve.Config{Shards: 1}, ServerConfig{})
+	addr, _ := startWire(t, serve.Config{}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.send(AppendQueryFrame(nil, 1, Query{Type: TypeDist, U: 1, V: 2}))
 	hdr, payload := rc.recv()
@@ -184,7 +184,7 @@ func TestServerRefusesNonHelloFirst(t *testing.T) {
 }
 
 func TestServerQueryMatchesEngine(t *testing.T) {
-	addr, eng := startWire(t, serve.Config{Shards: 2, CacheSize: 64}, ServerConfig{})
+	addr, eng := startWire(t, serve.Config{CacheSize: 64}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	n := int32(eng.Snapshot().N())
@@ -211,7 +211,7 @@ func TestServerQueryMatchesEngine(t *testing.T) {
 }
 
 func TestServerDegradedDist(t *testing.T) {
-	addr, _ := startWire(t, serve.Config{Shards: 1}, ServerConfig{})
+	addr, _ := startWire(t, serve.Config{}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	rep := rc.query(1, Query{Type: TypeDist, U: 1, V: 5, AllowDegraded: true})
@@ -230,7 +230,7 @@ func TestServerDegradedDist(t *testing.T) {
 }
 
 func TestServerBadPriority(t *testing.T) {
-	addr, _ := startWire(t, serve.Config{Shards: 1}, ServerConfig{})
+	addr, _ := startWire(t, serve.Config{}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	rep := rc.query(1, Query{Type: TypeDist, U: 1, V: 2, Priority: 9})
@@ -240,7 +240,7 @@ func TestServerBadPriority(t *testing.T) {
 }
 
 func TestServerBrownoutSheds(t *testing.T) {
-	addr, eng := startWire(t, serve.Config{Shards: 1}, ServerConfig{})
+	addr, eng := startWire(t, serve.Config{}, ServerConfig{})
 	eng.SetBrownout(true)
 	rc := dialRaw(t, addr)
 	rc.handshake()
@@ -256,7 +256,7 @@ func TestServerBrownoutSheds(t *testing.T) {
 }
 
 func TestServerBatch(t *testing.T) {
-	addr, eng := startWire(t, serve.Config{Shards: 2, CacheSize: 64}, ServerConfig{})
+	addr, eng := startWire(t, serve.Config{CacheSize: 64}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	qs := []Query{
@@ -291,7 +291,7 @@ func TestServerBatch(t *testing.T) {
 // rides in a batch — and non-dist entries fail per slot with the HTTP
 // handler's exact wording.
 func TestServerBatchDegraded(t *testing.T) {
-	addr, eng := startWire(t, serve.Config{Shards: 1}, ServerConfig{})
+	addr, eng := startWire(t, serve.Config{}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	qs := []Query{
@@ -324,7 +324,7 @@ func TestServerBatchDegraded(t *testing.T) {
 }
 
 func TestServerBatchOverLimit(t *testing.T) {
-	addr, eng := startWire(t, serve.Config{Shards: 1, MaxBatch: 2}, ServerConfig{})
+	addr, eng := startWire(t, serve.Config{MaxBatch: 2}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	qs := make([]Query, 5)
@@ -350,7 +350,7 @@ func TestServerBatchOverLimit(t *testing.T) {
 }
 
 func TestServerHealthz(t *testing.T) {
-	addr, eng := startWire(t, serve.Config{Shards: 1}, ServerConfig{
+	addr, eng := startWire(t, serve.Config{}, ServerConfig{
 		SLOStatus: func() string { return "meeting SLO" },
 	})
 	rc := dialRaw(t, addr)
@@ -373,7 +373,7 @@ func TestServerHealthz(t *testing.T) {
 // then collects all of them: replies must cover every correlation id
 // (order free — the worker pool may reorder).
 func TestServerPipelining(t *testing.T) {
-	addr, _ := startWire(t, serve.Config{Shards: 2, CacheSize: 64}, ServerConfig{Workers: 4})
+	addr, _ := startWire(t, serve.Config{CacheSize: 64}, ServerConfig{Workers: 4})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	const burst = 64
@@ -408,7 +408,7 @@ func TestServerPipelining(t *testing.T) {
 }
 
 func TestServerUnknownFrameFatal(t *testing.T) {
-	addr, _ := startWire(t, serve.Config{Shards: 1}, ServerConfig{})
+	addr, _ := startWire(t, serve.Config{}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	// Hand-build a checksum-valid frame of an unknown type.
@@ -434,7 +434,7 @@ func TestServerUnknownFrameFatal(t *testing.T) {
 
 func TestServerShutdownUnblocksClients(t *testing.T) {
 	a := testArtifact(t, 40, 1)
-	eng, err := serve.New(a, serve.Config{Shards: 1})
+	eng, err := serve.New(a, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestServerShutdownUnblocksClients(t *testing.T) {
 // Shutdown here must always finish on its own, never via the 5s force-close.
 func TestServerShutdownRacesHandshake(t *testing.T) {
 	a := testArtifact(t, 40, 1)
-	eng, err := serve.New(a, serve.Config{Shards: 1})
+	eng, err := serve.New(a, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestServerShutdownRacesHandshake(t *testing.T) {
 
 func TestServerObsMetrics(t *testing.T) {
 	ob := obs.New()
-	addr, _ := startWire(t, serve.Config{Shards: 1, Obs: ob}, ServerConfig{Obs: ob})
+	addr, _ := startWire(t, serve.Config{Obs: ob}, ServerConfig{Obs: ob})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	rc.query(1, Query{Type: TypeDist, U: 1, V: 2})

@@ -41,7 +41,7 @@ func TestServeRoundTripFidelity(t *testing.T) {
 	if loaded.Algo != art.Algo || loaded.K != art.K || loaded.Seed != art.Seed {
 		t.Fatalf("metadata drifted: %+v vs %+v", loaded, art)
 	}
-	eng, err := spanner.NewServeEngine(loaded, spanner.ServeConfig{Shards: 4, CacheSize: 256})
+	eng, err := spanner.NewServeEngine(loaded, spanner.ServeConfig{CacheSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestServeHotSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := spanner.NewServeEngine(artA, spanner.ServeConfig{Shards: 4, QueueDepth: 4096, CacheSize: 128})
+	eng, err := spanner.NewServeEngine(artA, spanner.ServeConfig{CacheSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

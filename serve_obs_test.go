@@ -28,14 +28,14 @@ func TestServeTraceReconcilesWithPhaseHistograms(t *testing.T) {
 	ob := spanner.NewObserver(mem)
 	tracer := spanner.NewRequestTracer(ob, spanner.RequestTracerConfig{SampleEvery: 1})
 	eng, err := spanner.NewServeEngine(art, spanner.ServeConfig{
-		Shards: 2, CacheSize: 64, Obs: ob, Tracer: tracer,
+		CacheSize: 64, Obs: ob, Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Serial mixed workload: misses, cache hits (repeats) and every query
-	// type, so all five phases accumulate nonzero time.
+	// type, so all three phases accumulate nonzero time.
 	queries := 0
 	n := int32(art.Graph.N())
 	for rep := 0; rep < 2; rep++ {
@@ -57,7 +57,7 @@ func TestServeTraceReconcilesWithPhaseHistograms(t *testing.T) {
 	}
 
 	events := mem.Events()
-	phases := []string{"admission", "queue", "shard", "cache", "oracle"}
+	phases := []string{"admission", "cache", "oracle"}
 
 	// Accounting 1: the sampled span trees. Every request must have emitted
 	// a serve.request root, and each phase child carries its dur_ns.

@@ -16,7 +16,7 @@ import (
 // in-process for every query type.
 func TestWireServeFidelity(t *testing.T) {
 	art := buildServeArtifact(t, 250, 3, 19)
-	eng, err := spanner.NewServeEngine(art, spanner.ServeConfig{Shards: 2, CacheSize: 128})
+	eng, err := spanner.NewServeEngine(art, spanner.ServeConfig{CacheSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
