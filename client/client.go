@@ -200,7 +200,7 @@ func (c Config) withDefaults() Config {
 type Client struct {
 	cfg Config
 	hc  *http.Client
-	br  *breaker
+	retryPolicy
 }
 
 // Stats is a point-in-time view of the client's resilience state.
@@ -219,11 +219,7 @@ func New(cfg Config) *Client {
 		tr.MaxIdleConnsPerHost = 64
 		hc = &http.Client{Transport: tr}
 	}
-	return &Client{
-		cfg: cfg,
-		hc:  hc,
-		br:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
-	}
+	return &Client{cfg: cfg, hc: hc, retryPolicy: cfg.policy()}
 }
 
 // Stats reports the client's current resilience state.
@@ -234,95 +230,27 @@ func (c *Client) Stats() Stats { return Stats{Breaker: c.br.snapshot()} }
 // cooldown would let a call through.
 func (c *Client) ResetBreaker() { c.br.success() }
 
-func splitmix(x uint64) uint64 {
-	z := x + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// backoffFor returns the delay before retry #attempt (attempt ≥ 1):
-// exponential in the attempt number, capped, with deterministic jitter in
-// [½d, d) drawn from the seed and attempt — decorrelated between clients
-// with different seeds, reproducible for equal ones.
-func (c *Client) backoffFor(attempt int) time.Duration {
-	d := c.cfg.BaseBackoff << (attempt - 1)
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
-	}
-	half := uint64(d / 2)
-	if half == 0 {
-		return d
-	}
-	return time.Duration(half + splitmix(uint64(c.cfg.Seed)^uint64(attempt)*0x9e3779b97f4a7c15)%half)
-}
-
-// attemptErr classifies one failed attempt.
-type attemptErr struct {
-	err       error // typed error to surface if this is the last attempt
-	retryable bool  // may retry (when the call is idempotent)
-	breaker   bool  // counts as a breaker failure (server-down signal)
-	// after is the server's Retry-After hint, when the rejection carried
-	// one (nil otherwise). A hinted 429 is not retryable per se — do()
-	// promotes it when the hint fits inside the client's backoff ceiling.
-	after *time.Duration
-}
-
 // do runs one endpoint call under the retry/breaker discipline and returns
 // the response body of the first success.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool) ([]byte, error) {
-	if !c.br.allow() {
-		return nil, fmt.Errorf("%w: circuit breaker open", ErrUnavailable)
+	if err := c.allow(); err != nil {
+		return nil, err
 	}
-	attempts := 1
-	if idempotent {
-		attempts += c.cfg.MaxRetries
-	}
-	var last attemptErr
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			d := c.backoffFor(attempt)
-			if last.after != nil && *last.after > 0 {
-				// The server said exactly when to come back; its pacing
-				// replaces the guesswork of jittered backoff.
-				d = *last.after
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-			case <-t.C:
-			}
-		}
+	for n := 1; ; n++ {
 		data, ae := c.attempt(ctx, method, path, body)
 		if ae == nil {
 			c.br.success()
 			return data, nil
 		}
-		if ae.breaker {
-			c.br.failure()
-		}
-		last = *ae
-		// A 429 with a Retry-After within the client's backoff ceiling is
-		// worth honoring: the server asked for a pause it expects to be
-		// enough. Hints beyond the ceiling (or absent) surface immediately —
-		// the pre-existing never-retry-rejections discipline.
-		retryable := ae.retryable ||
-			(ae.after != nil && *ae.after <= c.cfg.MaxBackoff)
-		if !retryable || !idempotent {
-			break
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
+		if err := c.retry(ctx, ae, n, idempotent); err != nil {
+			return nil, err
 		}
 	}
-	return nil, last.err
 }
 
 // attempt is one HTTP round trip with the per-attempt timeout applied.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte) ([]byte, *attemptErr) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	actx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {

@@ -67,6 +67,33 @@ func TestQueryExhaustsRetryBudget(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxRetriesDisablesRetries pins MaxRetries -1 as "no retries"
+// on both clients, rather than the default budget of 3.
+func TestNegativeMaxRetriesDisablesRetries(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.Error(w, `{"err":"down"}`, http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	cfg := fastCfg(ts.URL)
+	cfg.MaxRetries = -1
+	if _, err := New(cfg).Dist(context.Background(), 1, 2); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("want ErrUnavailable, got %v", err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("%d calls, want 1", calls.Load())
+	}
+	wc, err := NewWire(WireConfig{Addr: "127.0.0.1:1", MaxRetries: -1, ScavengeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	if wc.maxRetries != 0 {
+		t.Fatalf("wire client retries %d times, want 0", wc.maxRetries)
+	}
+}
+
 func TestMutationsAreSingleShot(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

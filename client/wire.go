@@ -72,29 +72,6 @@ func (c WireConfig) withDefaults() WireConfig {
 	if c.Conns <= 0 {
 		c.Conns = 2
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff < c.BaseBackoff {
-		c.MaxBackoff = 250 * time.Millisecond
-		if c.MaxBackoff < c.BaseBackoff {
-			c.MaxBackoff = c.BaseBackoff
-		}
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
 	if c.MaxCoalesce <= 0 {
 		c.MaxCoalesce = 32
 	}
@@ -103,9 +80,6 @@ func (c WireConfig) withDefaults() WireConfig {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -175,7 +149,7 @@ type wconn struct {
 // concurrent use.
 type WireClient struct {
 	cfg WireConfig
-	br  *breaker
+	retryPolicy
 
 	mu     sync.Mutex
 	slots  []*wconn
@@ -196,8 +170,12 @@ func NewWire(cfg WireConfig) (*WireClient, error) {
 	}
 	cfg = cfg.withDefaults()
 	cl := &WireClient{
-		cfg:   cfg,
-		br:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
+		cfg: cfg,
+		// The retry settings share the HTTP client's defaults.
+		retryPolicy: Config{Timeout: cfg.Timeout, MaxRetries: cfg.MaxRetries,
+			BaseBackoff: cfg.BaseBackoff, MaxBackoff: cfg.MaxBackoff, Seed: cfg.Seed,
+			BreakerThreshold: cfg.BreakerThreshold, BreakerCooldown: cfg.BreakerCooldown,
+			Now: cfg.Now}.withDefaults().policy(),
 		slots: make([]*wconn, cfg.Conns),
 	}
 	cl.pool.New = func() any {
@@ -387,7 +365,7 @@ func (cl *WireClient) scavenge() {
 
 // probe runs one healthz round-trip on cn with a short deadline.
 func (cl *WireClient) probe(cn *wconn) bool {
-	timeout := cl.cfg.Timeout
+	timeout := cl.timeout
 	if timeout > time.Second {
 		timeout = time.Second
 	}
@@ -774,89 +752,51 @@ func stopTimer(t *time.Timer) {
 }
 
 // callRT runs one request under the retry/breaker discipline and returns
-// the completed call on success (the caller converts and recycles it). The
-// body is written inline — no closures — so a served-from-pool success path
-// does not allocate.
+// the completed call on success (the caller converts and recycles it). No
+// closures, so a served-from-pool success path does not allocate.
 func (cl *WireClient) callRT(ctx context.Context, kind uint8, q wire.Query, qs []wire.Query) (*wcall, error) {
-	if !cl.br.allow() {
-		return nil, fmt.Errorf("%w: circuit breaker open", ErrUnavailable)
+	if err := cl.allow(); err != nil {
+		return nil, err
 	}
-	attempts := 1 + cl.cfg.MaxRetries
-	var last attemptErr
-	haveLast := false
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			d := cl.backoffFor(attempt)
-			if last.after != nil && *last.after > 0 {
-				d = *last.after
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-			case <-t.C:
-			}
+	for n := 1; ; n++ {
+		call, ae := cl.attempt(ctx, kind, q, qs)
+		if ae == nil {
+			cl.br.success()
+			return call, nil
 		}
-		var ae *attemptErr
-		cn, err := cl.conn()
-		if err != nil {
-			ae = &attemptErr{err: err, retryable: true, breaker: true}
-		} else {
-			call := cl.getCall()
-			call.kind = kind
-			call.q = q
-			call.qs = qs
-			if err := cn.enqueue(call); err != nil {
-				cl.putCall(call)
-				ae = &attemptErr{err: err, retryable: true, breaker: true}
-			} else {
-				delivered, aae := cl.await(cn, call, cl.cfg.Timeout, ctx)
-				ae = aae
-				if delivered {
-					if ae == nil && kind == ckQuery {
-						ae = classifyCode(call.rep.Code, 0, call.rep.Detail)
-					}
-					if ae == nil {
-						cl.br.success()
-						return call, nil
-					}
-					cl.putCall(call)
-				}
-				// Undelivered calls were abandoned; they must not be pooled.
-			}
-		}
-		if ae.breaker {
-			cl.br.failure()
-		}
-		last = *ae
-		haveLast = true
-		retryable := ae.retryable ||
-			(ae.after != nil && *ae.after <= cl.cfg.MaxBackoff)
-		if !retryable {
-			break
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
+		if err := cl.retry(ctx, ae, n, true); err != nil {
+			return nil, err
 		}
 	}
-	if !haveLast {
-		return nil, fmt.Errorf("%w: no attempts", ErrUnavailable)
-	}
-	return nil, last.err
 }
 
-// backoffFor mirrors Client.backoffFor for the wire transport.
-func (cl *WireClient) backoffFor(attempt int) time.Duration {
-	d := cl.cfg.BaseBackoff << (attempt - 1)
-	if d > cl.cfg.MaxBackoff || d <= 0 {
-		d = cl.cfg.MaxBackoff
+// attempt runs one request on a pooled connection and returns the
+// delivered call, or the classification of the attempt's failure.
+func (cl *WireClient) attempt(ctx context.Context, kind uint8, q wire.Query, qs []wire.Query) (*wcall, *attemptErr) {
+	cn, err := cl.conn()
+	if err != nil {
+		return nil, &attemptErr{err: err, retryable: true, breaker: true}
 	}
-	half := uint64(d / 2)
-	if half == 0 {
-		return d
+	call := cl.getCall()
+	call.kind, call.q, call.qs = kind, q, qs
+	if err := cn.enqueue(call); err != nil {
+		cl.putCall(call)
+		return nil, &attemptErr{err: err, retryable: true, breaker: true}
 	}
-	return time.Duration(half + splitmix(uint64(cl.cfg.Seed)^uint64(attempt)*0x9e3779b97f4a7c15)%half)
+	delivered, ae := cl.await(cn, call, cl.timeout, ctx)
+	if !delivered {
+		// Abandoned calls must not be pooled: a late reply may still be
+		// decoded into them.
+		return nil, ae
+	}
+	if ae == nil && kind == ckQuery {
+		ae = classifyCode(call.rep.Code, 0, call.rep.Detail)
+	}
+	if ae != nil {
+		cl.putCall(call)
+		return nil, ae
+	}
+	return call, nil
 }
 
 // classifyCode maps a wire error code to the attempt classification the

@@ -688,6 +688,33 @@ func TestWireDistZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWireDistZeroAllocRealServer holds the same bar end to end: a warmed
+// Dist against the real wire server and engine (cache off, so every query
+// is evaluated) allocates nothing in the client, the server or the engine.
+func TestWireDistZeroAllocRealServer(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are inflated under -race instrumentation")
+	}
+	addr, _, _ := startWireServer(t, serve.Config{CacheSize: -1})
+	cfg := fastWireCfg(addr)
+	cfg.Conns = 1
+	cl := newWireClient(t, cfg)
+	ctx := context.Background()
+	for i := 0; i < 50; i++ {
+		if _, err := cl.Dist(ctx, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cl.Dist(ctx, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Dist through the real server allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
 // BenchmarkWireClientDistAllocs is the benchmark-asserted form of the
 // zero-alloc criterion: allocs/op must report 0 against the zero-alloc
 // echo responder.

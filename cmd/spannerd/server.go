@@ -193,7 +193,8 @@ func (q queryJSON) toRequest() (serve.Request, error) {
 	// Every request built here arrived over the HTTP/JSON transport; the
 	// engine stamps the label into the request trace so span trees and the
 	// slow-query log can tell the transports apart.
-	req := serve.Request{Type: typ, U: q.U, V: q.V, Priority: prio, Transport: "json"}
+	req := serve.Request{Type: typ, U: q.U, V: q.V, Priority: prio,
+		AllowDegraded: q.AllowDegraded, Transport: "json"}
 	if q.DeadlineMS > 0 {
 		req.Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
 	}
@@ -238,18 +239,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if q.AllowDegraded {
-		// The caller asked for the cheap landmark bound — answered outside
-		// admission control and always flagged Degraded. Only distance
-		// queries have a meaningful bound.
-		if req.Type != serve.QueryDist {
-			writeError(w, http.StatusBadRequest, "allowDegraded applies to dist queries only")
-			return
-		}
-		reply := s.eng.DegradedDist(req.U, req.V)
-		writeJSON(w, statusFor(reply.Err), s.wire(reply))
-		return
-	}
 	// Request-scoped trace with a propagated (or generated) request id. The
 	// engine stamps phases and the outcome; the handler owns start/finish,
 	// so the id flows from the HTTP layer into the engine.
@@ -289,42 +278,21 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds the current limit of %d", len(qs), max))
 		return
 	}
-	reqs := make([]serve.Request, len(qs))
+	// Entries whose strings do not parse fail in their own slot; the rest
+	// go to the engine as one batch.
 	replies := make([]replyJSON, len(qs))
-	done := make([]bool, len(qs))
+	idx := make([]int, 0, len(qs))
+	reqs := make([]serve.Request, 0, len(qs))
 	for i, q := range qs {
 		req, err := q.toRequest()
 		if err != nil {
-			done[i] = true
 			replies[i] = replyJSON{Type: q.Type, U: q.U, V: q.V, Err: err.Error()}
 			continue
 		}
-		if q.AllowDegraded {
-			// Same per-entry semantics as the single-query path (and the
-			// wire server's batch path): dist entries get the inline
-			// landmark bound, flagged Degraded; anything else fails in its
-			// slot.
-			done[i] = true
-			if req.Type != serve.QueryDist {
-				replies[i] = replyJSON{Type: q.Type, U: q.U, V: q.V,
-					Err: "allowDegraded applies to dist queries only"}
-			} else {
-				replies[i] = s.wire(s.eng.DegradedDist(req.U, req.V))
-			}
-			continue
-		}
-		reqs[i] = req
+		idx = append(idx, i)
+		reqs = append(reqs, req)
 	}
-	// Engine-side batch for the entries not already answered above.
-	idx := make([]int, 0, len(qs))
-	sub := make([]serve.Request, 0, len(qs))
-	for i := range reqs {
-		if !done[i] {
-			idx = append(idx, i)
-			sub = append(sub, reqs[i])
-		}
-	}
-	for j, rep := range s.eng.QueryBatch(sub) {
+	for j, rep := range s.eng.QueryBatch(reqs) {
 		replies[idx[j]] = s.wire(rep)
 	}
 	writeJSON(w, http.StatusOK, replies)

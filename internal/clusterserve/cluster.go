@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -393,9 +394,20 @@ func (c *Cluster) probe(m *member) {
 	default:
 		// Stale (old generation / unknown checksum) or unadopted: the
 		// replica is healthy but must be walked to the committed
-		// generation before it takes traffic.
+		// generation before it takes traffic. An unadopted one that is
+		// still routed restarted between probes: it leaves the routing set
+		// until it rejoins. (A stale non-zero generation can be a replica
+		// ahead of c.gen mid-mutation, which stays.)
 		m.consecOK = 0
+		ejected := m.ready && info.Gen == 0
+		if ejected {
+			m.ready = false
+		}
 		m.mu.Unlock()
+		if ejected {
+			c.ejections.Add(1)
+			c.cfg.Logger.Warn("replica ejected: restarted unadopted", "url", m.url)
+		}
 		c.catchUp(m, info)
 		return
 	}
@@ -654,6 +666,9 @@ func (c *Cluster) raceQuery(ctx context.Context, cands []*member, q client.Query
 		case r := <-resc:
 			received++
 			m := cands[r.idx]
+			if r.err == nil && unadopted(r.rep) {
+				r.err = errUnadopted
+			}
 			if r.err == nil {
 				m.noteQuerySuccess()
 				tr.Replica = m.url
@@ -700,6 +715,16 @@ func (c *Cluster) raceQuery(ctx context.Context, cands []*member, q client.Query
 			return client.Reply{}, tr, fmt.Errorf("%w: %v", client.ErrTimeout, ctx.Err())
 		}
 	}
+}
+
+// errUnadopted fails an attempt answered by a replica that restarted since
+// its last probe and has not been adopted again: its exact answers have no
+// committed generation behind them.
+var errUnadopted = fmt.Errorf("%w: replica has not adopted a generation", client.ErrUnavailable)
+
+// unadopted reports an exact answer stamped with no cluster generation.
+func unadopted(rep client.Reply) bool {
+	return rep.Err == "" && !rep.Degraded && rep.Gen == 0
 }
 
 // degradedQuery is the quorum-loss path: distance queries are served as
@@ -752,6 +777,9 @@ func (c *Cluster) Batch(ctx context.Context, qs []client.Query) ([]client.Reply,
 	for i := range ready {
 		m := ready[(start+i)%len(ready)]
 		rs, err := m.cl.Batch(ctx, qs)
+		if err == nil && slices.ContainsFunc(rs, unadopted) {
+			err = errUnadopted
+		}
 		if err == nil {
 			m.noteQuerySuccess()
 			return rs, nil

@@ -210,6 +210,39 @@ func TestFailoverAndRejoin(t *testing.T) {
 	}
 }
 
+// TestRestartBetweenProbesNeverAnswersUnadopted restarts a routed replica
+// before the prober notices. Until it is adopted again it answers exact
+// queries and batches stamped with no cluster generation; the router must
+// treat those answers as failed attempts and fail over, never return them.
+func TestRestartBetweenProbesNeverAnswersUnadopted(t *testing.T) {
+	art := testArtifact(t, 100, 5)
+	cl, reps := testCluster(t, 3, art, func(c *clusterserve.Config) {
+		c.ProbeInterval = 200 * time.Millisecond
+	})
+	ctx, cancel := ctxWithTimeout(t, 30*time.Second)
+	defer cancel()
+	reps[1].restart(art)
+	for i := 0; i < 30; i++ {
+		q := client.Query{Type: "dist", U: int32(i), V: int32(99 - i)}
+		var rep client.Reply
+		var err error
+		if i%2 == 0 {
+			rep, err = cl.Query(ctx, q)
+		} else {
+			var rs []client.Reply
+			if rs, err = cl.Batch(ctx, []client.Query{q}); err == nil {
+				rep = rs[0]
+			}
+		}
+		if err != nil {
+			t.Fatalf("request %d after restart: %v", i, err)
+		}
+		if rep.Degraded || rep.Gen != 1 {
+			t.Fatalf("request %d: degraded=%v gen %d, want an exact gen-1 answer", i, rep.Degraded, rep.Gen)
+		}
+	}
+}
+
 // TestCatchUpReplay: a replica that missed a swap (dead while the cluster
 // advanced) comes back serving the old artifact and is walked to the
 // committed generation by replaying the recorded swap before it takes

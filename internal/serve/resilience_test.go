@@ -167,6 +167,46 @@ func TestMaxBatchShrinksUnderBrownout(t *testing.T) {
 	}
 }
 
+// TestRequestRules pins the per-query rules both transports rely on, in
+// their order: type, then priority, then AllowDegraded. An AllowDegraded
+// dist query gets DegradedDist's flagged bound even when brownout would
+// shed it or the engine is closed.
+func TestRequestRules(t *testing.T) {
+	a := testArtifact(t, 50, 3)
+	e, err := New(a, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		req    Request
+		detail string
+	}{
+		{Request{Type: QueryType(9), Priority: 7, AllowDegraded: true, U: 0, V: 1}, ErrBadQuery.Error()},
+		{Request{Type: QueryPath, Priority: 7, AllowDegraded: true, U: 0, V: 1}, "bad priority"},
+		{Request{Type: QueryRoute, AllowDegraded: true, U: 0, V: 1}, "allowDegraded applies to dist queries only"},
+	} {
+		r := e.Query(c.req)
+		if !errors.Is(r.Err, ErrBadQuery) || r.Err.Error() != c.detail {
+			t.Fatalf("%+v: err %v, want ErrBadQuery with detail %q", c.req, r.Err, c.detail)
+		}
+	}
+	want := e.DegradedDist(3, 9)
+	check := func(when string) {
+		t.Helper()
+		for _, p := range []Priority{PriorityHigh, PriorityLow} {
+			r := e.QueryBatch([]Request{{Type: QueryDist, U: 3, V: 9, Priority: p, AllowDegraded: true}})[0]
+			if r.Err != nil || !r.Degraded || r.Dist != want.Dist || r.SnapshotID != want.SnapshotID {
+				t.Fatalf("%s, priority %v: %+v, want the Degraded bound %+v", when, p, r, want)
+			}
+		}
+	}
+	check("healthy")
+	e.SetBrownout(true)
+	check("brownout")
+	e.Close()
+	check("closed")
+}
+
 func TestParsePriority(t *testing.T) {
 	for s, want := range map[string]Priority{"": PriorityHigh, "high": PriorityHigh, "low": PriorityLow} {
 		got, err := ParsePriority(s)

@@ -13,10 +13,13 @@
 // has passed when its turn comes is refused with ErrDeadline instead of
 // wasting compute on an answer nobody is waiting for. QueryBatch answers
 // its entries in order, one after another; parallelism across requests
-// comes from the transports — the wire server's per-connection Workers and
-// HTTP's goroutine per request. Results are memoized in per-type LRU
-// caches split into GOMAXPROCS partitions by endpoint pair, each guarded by
-// a mutex held only for the lookup or the insert.
+// comes from the transports — a goroutine per wire connection, which
+// answers its frames in order, and one per HTTP request. The per-query
+// rules (priority range, AllowDegraded) are checked here too, so the
+// transports only translate their encodings into Requests. Results are
+// memoized in per-type LRU caches split into GOMAXPROCS partitions by
+// endpoint pair, each guarded by a mutex held only for the lookup or the
+// insert.
 //
 // Hot swap. The current Snapshot hangs off an atomic pointer. Swap installs
 // a new generation in one store; each request pins the snapshot pointer
@@ -121,7 +124,9 @@ var (
 	ErrClosed = errors.New("serve: engine closed")
 	// ErrBadVertex reports an endpoint outside the snapshot's vertex range.
 	ErrBadVertex = errors.New("serve: vertex out of range")
-	// ErrBadQuery reports an unknown query type.
+	// ErrBadQuery reports an unknown query type. A priority above
+	// PriorityLow, or AllowDegraded on a non-distance query, is refused
+	// with its own detail text that also matches ErrBadQuery.
 	ErrBadQuery = errors.New("serve: unknown query type")
 	// ErrNoRoute reports a routing failure (disconnected endpoints or a
 	// corrupt header); wraps the routing package's error text.
@@ -135,15 +140,31 @@ var (
 	// part snapshot does not hold. Ask an unpartitioned engine (or the
 	// router, which refuses it with the same error).
 	ErrPartitioned = errors.New("serve: query not served by a partition member")
+
+	errBadPriority     error = badQuery("bad priority")
+	errDegradedNonDist error = badQuery("allowDegraded applies to dist queries only")
 )
+
+// badQuery is a malformed request with its own detail text; it matches
+// ErrBadQuery under errors.Is, so transports map it like an unknown type.
+type badQuery string
+
+func (e badQuery) Error() string        { return string(e) }
+func (e badQuery) Is(target error) bool { return target == ErrBadQuery }
 
 // Request is one query.
 type Request struct {
 	Type QueryType
 	U, V int32
 	// Priority classifies the request for brownout shedding; the zero value
-	// is PriorityHigh.
+	// is PriorityHigh. A value above PriorityLow is refused as a bad query.
 	Priority Priority
+	// AllowDegraded asks for the snapshot's landmark-distance upper bound,
+	// flagged Degraded, instead of the exact oracle estimate. It applies
+	// to QueryDist only (any other type is refused as a bad query) and is
+	// answered outside admission control, brownout shedding and Close —
+	// the cluster router sets it when quorum is lost. See DegradedDist.
+	AllowDegraded bool
 	// Deadline, when non-zero, rejects the request if its evaluation has
 	// not started by that instant (in a batch, earlier entries run first).
 	// The zero value applies Config.DefaultDeadline.
@@ -637,6 +658,17 @@ func (e *Engine) query(req Request, deadline time.Time) (r Reply) {
 	if req.Type >= numQueryTypes {
 		return e.refuse(&c, r, ErrBadQuery, rejectType, c.t0)
 	}
+	if req.Priority > PriorityLow {
+		return e.refuse(&c, r, errBadPriority, rejectType, c.t0)
+	}
+	if req.AllowDegraded {
+		if req.Type != QueryDist {
+			return e.refuse(&c, r, errDegradedNonDist, rejectType, c.t0)
+		}
+		r = e.DegradedDist(req.U, req.V)
+		e.finish(&c, &r, c.t0, c.t0)
+		return r
+	}
 	// Brownout shedding: one atomic load on the no-fault path (asserted
 	// within the resilience-overhead budget by TestResilienceOverhead).
 	if req.Priority == PriorityLow && e.brownout.Load() {
@@ -791,8 +823,8 @@ func (e *Engine) evaluate(snap *Snapshot, req Request) cacheVal {
 // DegradedDist answers a distance query from the snapshot's cached
 // landmark arrays: an upper bound on the true distance, flagged Degraded,
 // outside admission control. This is the same estimator the brownout
-// over-limit fallback serves; the cluster router calls it (via the
-// daemon's allowDegraded request flag) when quorum is lost and an exact
+// over-limit fallback serves, and what a Request with AllowDegraded gets;
+// the cluster router asks for it when quorum is lost and an exact
 // committed-generation answer cannot be guaranteed.
 func (e *Engine) DegradedDist(u, v int32) Reply {
 	snap := e.snap.Load()

@@ -18,9 +18,9 @@ import (
 // Server answers the binary protocol over TCP against a serve.Engine — the
 // same engine, admission control, brownout and tracing the HTTP handlers
 // share, so the two transports differ only in encoding. Each connection
-// performs the Hello/HelloAck handshake, then streams pipelined frames: a
-// per-connection worker pool answers them concurrently and out of order
-// (replies matched by correlation id).
+// performs the Hello/HelloAck handshake, then streams pipelined frames,
+// which its reader goroutine answers one at a time and in order, as
+// HTTP/1.1 keep-alive does: parallelism comes from connections.
 type Server struct {
 	cfg ServerConfig
 
@@ -29,8 +29,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-
-	pool sync.Pool // *stask
 
 	connsGauge *obs.Gauge
 	handshakes *obs.Counter
@@ -51,9 +49,6 @@ type ServerConfig struct {
 	Logger *slog.Logger
 	// MaxFrame bounds accepted payloads (0 = DefaultMaxFrame).
 	MaxFrame uint32
-	// Workers is the per-connection worker pool size — how many frames of
-	// one connection are answered concurrently (0 = 8).
-	Workers int
 	// GenOf maps a snapshot id to its cluster generation for reply
 	// stamping (nil = always 0), mirroring the HTTP server's cluster
 	// stamping.
@@ -68,19 +63,6 @@ type ServerConfig struct {
 // honest pacing for a refused batch too.
 const batchRetryAfterMS = 1000
 
-// stask is one in-flight frame's scratch state, pooled per server so the
-// steady-state query path allocates nothing.
-type stask struct {
-	corr  uint64
-	typ   uint8
-	q     Query
-	qs    []Query
-	reqs  []serve.Request
-	wrep  Reply
-	wreps []Reply
-	buf   []byte
-}
-
 // NewServer builds a wire server over eng's engine.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Engine == nil {
@@ -89,14 +71,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.MaxFrame == 0 {
 		cfg.MaxFrame = DefaultMaxFrame
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(discardHandler{})
 	}
 	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
-	s.pool.New = func() any { return new(stask) }
 	if cfg.Obs != nil {
 		reg := cfg.Obs.Registry()
 		lbl := obs.Label{Key: "transport", Value: "wire"}
@@ -157,16 +135,18 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Shutdown drains: stop accepting, abort blocked reads so every
-// connection's in-flight frames finish and its replies flush, then wait.
-// On ctx expiry the remaining connections are force-closed.
+// Shutdown drains: stop accepting and abort every connection's blocked
+// read. Each connection answers every frame it has read — the one being
+// evaluated included — in order, says a CodeClosed goodbye and closes;
+// Shutdown waits for that. On ctx expiry the remaining connections are
+// force-closed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
 	for c := range s.conns {
-		// Unblock the reader mid-Next; its worker pool then drains the
-		// frames already accepted before the connection closes.
+		// Unblock the reader mid-Next; a reader busy with a frame
+		// answers it before its next read fails.
 		c.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
@@ -203,36 +183,28 @@ func (s *Server) dropConn(c net.Conn) {
 	s.wg.Done()
 }
 
-// sconn is one accepted connection: a frame reader feeding a worker pool,
-// writes serialized by wmu.
+// sconn is one accepted connection and the scratch its reader goroutine
+// answers frames with; only that goroutine touches it, so the steady-state
+// query path allocates nothing and needs no locks.
 type sconn struct {
-	srv   *Server
 	c     net.Conn
-	wmu   sync.Mutex
-	wbuf  []byte // connection-scoped encode scratch (handshake, errors)
-	tasks chan *stask
-}
-
-func (cn *sconn) write(frame []byte) error {
-	cn.wmu.Lock()
-	_, err := cn.c.Write(frame)
-	cn.wmu.Unlock()
-	return err
+	q     Query
+	qs    []Query
+	reqs  []serve.Request
+	wrep  Reply
+	wreps []Reply
+	buf   []byte // the frame being written
 }
 
 // writeError sends a typed error frame (corr 0 = connection-scoped).
-func (cn *sconn) writeError(corr uint64, code Code, retryAfterMS uint32, detail string) {
-	cn.wmu.Lock()
-	cn.wbuf = AppendErrorFrame(cn.wbuf[:0], corr, ErrorFrame{
-		Code: code, RetryAfterMS: retryAfterMS, Detail: detail,
-	})
-	_, _ = cn.c.Write(cn.wbuf)
-	cn.wmu.Unlock()
+func (cn *sconn) writeError(corr uint64, code Code, detail string) {
+	cn.buf = AppendErrorFrame(cn.buf[:0], corr, ErrorFrame{Code: code, Detail: detail})
+	_, _ = cn.c.Write(cn.buf)
 }
 
 func (s *Server) handleConn(c net.Conn) {
 	defer s.dropConn(c)
-	cn := &sconn{srv: s, c: c, tasks: make(chan *stask, 4*s.cfg.Workers)}
+	cn := &sconn{c: c}
 	fr := NewReader(c, s.cfg.MaxFrame)
 
 	// Handshake: the first frame must be a Hello with our version; anything
@@ -241,16 +213,16 @@ func (s *Server) handleConn(c net.Conn) {
 	c.SetReadDeadline(time.Now().Add(30 * time.Second))
 	hdr, payload, err := fr.Next()
 	if err != nil || hdr.Type != MsgHello {
-		cn.writeError(0, CodeBadFrame, 0, "expected Hello frame")
+		cn.writeError(0, CodeBadFrame, "expected Hello frame")
 		return
 	}
 	var hello Hello
 	if err := DecodeHello(payload, &hello); err != nil {
-		cn.writeError(0, CodeBadFrame, 0, "malformed Hello")
+		cn.writeError(0, CodeBadFrame, "malformed Hello")
 		return
 	}
 	if hello.Version != Version {
-		cn.writeError(0, CodeVersion, 0,
+		cn.writeError(0, CodeVersion,
 			fmt.Sprintf("server speaks version %d, client sent %d", Version, hello.Version))
 		return
 	}
@@ -261,105 +233,101 @@ func (s *Server) handleConn(c net.Conn) {
 	// see closed and bail, or Shutdown's abort lands after our clear and
 	// sticks. Without this a client that handshakes but never sends a frame
 	// could stall a no-deadline Shutdown forever.
-	s.mu.Lock()
-	closing := s.closed
-	s.mu.Unlock()
-	if closing {
-		cn.writeError(0, CodeClosed, 0, "server shutting down")
+	if s.closing() {
+		cn.writeError(0, CodeClosed, "server shutting down")
 		return
 	}
 	snap := s.cfg.Engine.Snapshot()
-	ack := HelloAck{
+	cn.buf = AppendHelloAckFrame(cn.buf[:0], HelloAck{
 		Version:  Version,
 		Features: Features & hello.Features,
 		N:        int32(snap.N()),
 		Snapshot: snap.ID,
 		Gen:      s.genOf(snap.ID),
-	}
-	cn.wmu.Lock()
-	cn.wbuf = AppendHelloAckFrame(cn.wbuf[:0], ack)
-	_, werr := c.Write(cn.wbuf)
-	cn.wmu.Unlock()
-	if werr != nil {
+	})
+	if _, err := c.Write(cn.buf); err != nil {
 		return
 	}
 	if s.handshakes != nil {
 		s.handshakes.Inc()
 	}
 
-	var workers sync.WaitGroup
-	workers.Add(s.cfg.Workers)
-	for i := 0; i < s.cfg.Workers; i++ {
-		go func() {
-			defer workers.Done()
-			for t := range cn.tasks {
-				s.process(cn, t)
-			}
-		}()
-	}
-	// Always drain the pool before the connection drops: accepted frames
-	// get answers even when the reader dies (or Shutdown aborts it).
-	defer workers.Wait()
-	defer close(cn.tasks)
-
 	for {
 		hdr, payload, err := fr.Next()
 		if err != nil {
-			s.mu.Lock()
-			closing := s.closed
-			s.mu.Unlock()
 			switch {
-			case closing:
+			case s.closing():
 				// Shutdown aborted the read via SetReadDeadline; say a
 				// typed goodbye so pipelined clients fail fast with the
 				// retryable "server gone" classification.
-				cn.writeError(0, CodeClosed, 0, "server shutting down")
+				cn.writeError(0, CodeClosed, "server shutting down")
 			case err == io.EOF || errors.Is(err, net.ErrClosed):
 			default:
-				if s.badFrames != nil && (errors.Is(err, ErrMagic) || errors.Is(err, ErrChecksum) ||
-					errors.Is(err, ErrTruncated) || errors.Is(err, ErrTooLarge)) {
-					s.badFrames.Inc()
+				if errors.Is(err, ErrMagic) || errors.Is(err, ErrChecksum) ||
+					errors.Is(err, ErrTruncated) || errors.Is(err, ErrTooLarge) {
+					s.countBadFrame()
 				}
 				// Framing is lost: report and drop the connection —
 				// resynchronizing a corrupt stream would risk
 				// misattributed replies.
-				cn.writeError(0, CodeBadFrame, 0, err.Error())
+				cn.writeError(0, CodeBadFrame, err.Error())
 			}
 			return
 		}
-		t := s.pool.Get().(*stask)
-		t.corr, t.typ = hdr.Corr, hdr.Type
-		// Decode into the task before the next Next() reuses the payload
-		// buffer.
+		var start time.Time
+		if s.latency != nil {
+			start = time.Now()
+		}
+		var failed bool
 		switch hdr.Type {
 		case MsgQuery:
-			if err := DecodeQuery(payload, &t.q); err != nil {
-				s.pool.Put(t)
-				if s.badFrames != nil {
-					s.badFrames.Inc()
-				}
-				cn.writeError(hdr.Corr, CodeBadFrame, 0, "malformed query payload")
+			if err := DecodeQuery(payload, &cn.q); err != nil {
+				s.countBadFrame()
+				cn.writeError(hdr.Corr, CodeBadFrame, "malformed query payload")
 				return
 			}
+			failed = s.answerQuery(cn, hdr.Corr)
 		case MsgBatch:
-			t.qs, err = DecodeBatch(payload, t.qs)
-			if err != nil {
-				s.pool.Put(t)
-				if s.badFrames != nil {
-					s.badFrames.Inc()
-				}
-				cn.writeError(hdr.Corr, CodeBadFrame, 0, "malformed batch payload")
+			if cn.qs, err = DecodeBatch(payload, cn.qs); err != nil {
+				s.countBadFrame()
+				cn.writeError(hdr.Corr, CodeBadFrame, "malformed batch payload")
 				return
 			}
+			failed = s.answerBatch(cn, hdr.Corr)
 		case MsgHealthz:
-			// No payload.
+			s.answerHealthz(cn, hdr.Corr)
 		default:
-			s.pool.Put(t)
-			cn.writeError(hdr.Corr, CodeBadFrame, 0,
+			cn.writeError(hdr.Corr, CodeBadFrame,
 				fmt.Sprintf("unexpected frame type %d", hdr.Type))
 			return
 		}
-		cn.tasks <- t
+		// Every query and batch frame is counted here, before its reply is
+		// written, so a client that has read its reply always sees it in
+		// the registry. Healthz probes are not requests.
+		if s.requests != nil && hdr.Type != MsgHealthz {
+			s.requests.Inc()
+			if failed {
+				s.errs.Inc()
+			}
+			s.latency.Observe(time.Since(start).Microseconds())
+		}
+		if _, err := c.Write(cn.buf); err != nil {
+			s.cfg.Logger.Debug("wire: reply write failed", "err", err)
+			return
+		}
+	}
+}
+
+// closing reports whether Shutdown has begun.
+func (s *Server) closing() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
+func (s *Server) countBadFrame() {
+	if s.badFrames != nil {
+		s.badFrames.Inc()
 	}
 }
 
@@ -370,158 +338,65 @@ func (s *Server) genOf(snapshot int64) int64 {
 	return s.cfg.GenOf(snapshot)
 }
 
-// process answers one frame on a worker goroutine and returns the task to
-// the pool.
-func (s *Server) process(cn *sconn, t *stask) {
-	var err error
-	switch t.typ {
-	case MsgQuery:
-		err = s.processQuery(cn, t)
-	case MsgBatch:
-		err = s.processBatch(cn, t)
-	case MsgHealthz:
-		err = s.processHealthz(cn, t)
+// request translates a wire query into an engine request; the engine
+// checks priority, AllowDegraded and everything else.
+func request(q *Query) serve.Request {
+	req := serve.Request{
+		Type:          serve.QueryType(q.Type),
+		U:             q.U,
+		V:             q.V,
+		Priority:      serve.Priority(q.Priority),
+		AllowDegraded: q.AllowDegraded,
+		Transport:     "wire",
 	}
-	if err != nil {
-		// A write failure means the peer is gone; the reader will notice on
-		// its next Read and tear the connection down.
-		s.cfg.Logger.Debug("wire: reply write failed", "err", err)
+	if q.DeadlineMS > 0 {
+		req.Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
 	}
-	s.pool.Put(t)
+	return req
 }
 
-func (s *Server) processQuery(cn *sconn, t *stask) error {
-	var start time.Time
-	if s.latency != nil {
-		start = time.Now()
-	}
+// answerQuery encodes cn.q's reply into cn.buf and reports whether it
+// failed (an error other than no-route).
+func (s *Server) answerQuery(cn *sconn, corr uint64) bool {
+	s.fillReply(&cn.wrep, s.cfg.Engine.Query(request(&cn.q)))
+	cn.buf = AppendReplyFrame(cn.buf[:0], corr, &cn.wrep)
+	return cn.wrep.Code != CodeOK && cn.wrep.Code != CodeNoRoute
+}
+
+// answerBatch encodes cn.qs's batch reply, or the refusal of an oversized
+// batch, into cn.buf and reports whether the batch was refused.
+func (s *Server) answerBatch(cn *sconn, corr uint64) bool {
 	eng := s.cfg.Engine
-	q := &t.q
-	var rep serve.Reply
-	switch {
-	case q.Priority > uint8(serve.PriorityLow):
-		// Mirror the HTTP handler's 400 on an unparseable priority.
-		t.wrep = Reply{
-			Type: q.Type, U: q.U, V: q.V, Code: CodeBadQuery,
-			Detail: "bad priority",
-			Path:   t.wrep.Path[:0],
-		}
-		return s.sendReply(cn, t, start)
-	case q.AllowDegraded && serve.QueryType(q.Type) != serve.QueryDist:
-		// Mirror the HTTP handler's 400: only distance queries have a
-		// meaningful landmark bound.
-		t.wrep = Reply{
-			Type: q.Type, U: q.U, V: q.V, Code: CodeBadQuery,
-			Detail: "allowDegraded applies to dist queries only",
-			Path:   t.wrep.Path[:0],
-		}
-		return s.sendReply(cn, t, start)
-	case q.AllowDegraded:
-		rep = eng.DegradedDist(q.U, q.V)
-	default:
-		req := serve.Request{
-			Type:      serve.QueryType(q.Type),
-			U:         q.U,
-			V:         q.V,
-			Priority:  serve.Priority(q.Priority),
-			Transport: "wire",
-		}
-		if q.DeadlineMS > 0 {
-			req.Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
-		}
-		rep = eng.Query(req)
-	}
-	s.fillReply(&t.wrep, rep)
-	return s.sendReply(cn, t, start)
-}
-
-// sendReply encodes and writes t's reply. The request is counted before the
-// write, as processBatch does, so a client that has read its reply always
-// sees it in the registry.
-func (s *Server) sendReply(cn *sconn, t *stask, start time.Time) error {
-	t.buf = AppendReplyFrame(t.buf[:0], t.corr, &t.wrep)
-	if s.requests != nil {
-		s.requests.Inc()
-		if t.wrep.Code != CodeOK && t.wrep.Code != CodeNoRoute {
-			s.errs.Inc()
-		}
-		s.latency.Observe(time.Since(start).Microseconds())
-	}
-	return cn.write(t.buf)
-}
-
-func (s *Server) processBatch(cn *sconn, t *stask) error {
-	eng := s.cfg.Engine
-	if max := eng.MaxBatch(); len(t.qs) > max {
+	if max := eng.MaxBatch(); len(cn.qs) > max {
 		// The advertised batch limit shrinks under brownout; the refusal
 		// carries the same pacing hint as the HTTP 429 + Retry-After.
-		cn.writeError(t.corr, CodeRejected, batchRetryAfterMS,
-			fmt.Sprintf("batch of %d exceeds the current limit of %d", len(t.qs), max))
-		return nil
+		cn.buf = AppendErrorFrame(cn.buf[:0], corr, ErrorFrame{
+			Code:         CodeRejected,
+			RetryAfterMS: batchRetryAfterMS,
+			Detail:       fmt.Sprintf("batch of %d exceeds the current limit of %d", len(cn.qs), max),
+		})
+		return true
 	}
 	if s.batchSize != nil {
-		s.batchSize.Observe(int64(len(t.qs)))
+		s.batchSize.Observe(int64(len(cn.qs)))
 	}
-	if cap(t.reqs) < len(t.qs) {
-		t.reqs = make([]serve.Request, len(t.qs))
+	cn.reqs = cn.reqs[:0]
+	for i := range cn.qs {
+		cn.reqs = append(cn.reqs, request(&cn.qs[i]))
 	}
-	t.reqs = t.reqs[:len(t.qs)]
-	mixed := false
-	for i := range t.qs {
-		q := &t.qs[i]
-		t.reqs[i] = serve.Request{
-			Type:      serve.QueryType(q.Type),
-			U:         q.U,
-			V:         q.V,
-			Priority:  serve.Priority(q.Priority),
-			Transport: "wire",
-		}
-		if q.DeadlineMS > 0 {
-			t.reqs[i].Deadline = time.Now().Add(time.Duration(q.DeadlineMS) * time.Millisecond)
-		}
-		if q.AllowDegraded || q.Priority > uint8(serve.PriorityLow) {
-			mixed = true
-		}
+	reps := eng.QueryBatch(cn.reqs)
+	if cap(cn.wreps) < len(reps) {
+		cn.wreps = make([]Reply, len(reps))
 	}
-	if cap(t.wreps) < len(t.qs) {
-		t.wreps = make([]Reply, len(t.qs))
+	cn.wreps = cn.wreps[:len(reps)]
+	for i, rep := range reps {
+		s.fillReply(&cn.wreps[i], rep)
 	}
-	t.wreps = t.wreps[:len(t.qs)]
-	if mixed {
-		// Mixed batch: answer entry by entry so each slot gets the exact
-		// semantics of the single-query path — validation errors surface per
-		// reply (like the HTTP batch handler's per-entry err fields) and
-		// AllowDegraded dist entries get the inline landmark bound. The
-		// client coalesces concurrent point queries into MsgBatch frames, so
-		// a query must mean the same thing in a batch as it does alone.
-		for i := range t.reqs {
-			q := &t.qs[i]
-			switch {
-			case q.Priority > uint8(serve.PriorityLow):
-				t.wreps[i] = Reply{Type: q.Type, U: q.U, V: q.V,
-					Code: CodeBadQuery, Detail: "bad priority"}
-			case q.AllowDegraded && serve.QueryType(q.Type) != serve.QueryDist:
-				t.wreps[i] = Reply{Type: q.Type, U: q.U, V: q.V,
-					Code: CodeBadQuery, Detail: "allowDegraded applies to dist queries only"}
-			case q.AllowDegraded:
-				s.fillReply(&t.wreps[i], eng.DegradedDist(q.U, q.V))
-			default:
-				s.fillReply(&t.wreps[i], eng.Query(t.reqs[i]))
-			}
-		}
-	} else {
-		for i, rep := range eng.QueryBatch(t.reqs) {
-			s.fillReply(&t.wreps[i], rep)
-		}
-	}
-	t.buf = AppendBatchReplyFrame(t.buf[:0], t.corr, t.wreps)
-	if s.requests != nil {
-		s.requests.Inc()
-	}
-	return cn.write(t.buf)
+	cn.buf = AppendBatchReplyFrame(cn.buf[:0], corr, cn.wreps)
+	return false
 }
 
-func (s *Server) processHealthz(cn *sconn, t *stask) error {
+func (s *Server) answerHealthz(cn *sconn, corr uint64) {
 	snap := s.cfg.Engine.Snapshot()
 	h := HealthzReply{
 		N:        int32(snap.N()),
@@ -532,8 +407,7 @@ func (s *Server) processHealthz(cn *sconn, t *stask) error {
 	if s.cfg.SLOStatus != nil {
 		h.SLO = s.cfg.SLOStatus()
 	}
-	t.buf = AppendHealthzReplyFrame(t.buf[:0], t.corr, h)
-	return cn.write(t.buf)
+	cn.buf = AppendHealthzReplyFrame(cn.buf[:0], corr, h)
 }
 
 // fillReply converts an engine reply, applying the same bound-presence rule

@@ -370,10 +370,10 @@ func TestServerHealthz(t *testing.T) {
 }
 
 // TestServerPipelining sends a burst of queries without reading any reply,
-// then collects all of them: replies must cover every correlation id
-// (order free — the worker pool may reorder).
+// then collects all of them: a connection answers its frames one at a time,
+// so the replies come back in request order.
 func TestServerPipelining(t *testing.T) {
-	addr, _ := startWire(t, serve.Config{CacheSize: 64}, ServerConfig{Workers: 4})
+	addr, _ := startWire(t, serve.Config{CacheSize: 64}, ServerConfig{})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	const burst = 64
@@ -382,27 +382,17 @@ func TestServerPipelining(t *testing.T) {
 		buf = AppendQueryFrame(buf, uint64(i), Query{Type: TypeDist, U: int32(i % 50), V: int32((i * 3) % 50)})
 	}
 	rc.send(buf)
-	seen := make(map[uint64]bool)
-	for i := 0; i < burst; i++ {
+	for i := uint64(1); i <= burst; i++ {
 		hdr, payload := rc.recv()
-		if hdr.Type != MsgReply {
-			t.Fatalf("frame type %d", hdr.Type)
+		if hdr.Type != MsgReply || hdr.Corr != i {
+			t.Fatalf("reply %d: frame type %d corr %d, want a reply to corr %d", i, hdr.Type, hdr.Corr, i)
 		}
-		if seen[hdr.Corr] {
-			t.Fatalf("correlation id %d answered twice", hdr.Corr)
-		}
-		seen[hdr.Corr] = true
 		var rep Reply
 		if err := DecodeReply(payload, &rep); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Code != CodeOK {
 			t.Fatalf("corr %d: code %v (%s)", hdr.Corr, rep.Code, rep.Detail)
-		}
-	}
-	for i := uint64(1); i <= burst; i++ {
-		if !seen[i] {
-			t.Fatalf("correlation id %d never answered", i)
 		}
 	}
 }
@@ -569,21 +559,136 @@ func TestServerShutdownRacesHandshake(t *testing.T) {
 	}
 }
 
+// TestServerShutdownAnswersInOrder holds frame 1's evaluation, pipelines
+// frames 2–8 behind it and starts Shutdown before releasing the hold. The
+// connection must answer an in-order prefix of the frames starting at corr
+// 1, then say the CodeClosed goodbye and end the stream, and Shutdown must
+// finish on its own rather than by force-closing the connection.
+func TestServerShutdownAnswersInOrder(t *testing.T) {
+	a := testArtifact(t, 40, 1)
+	eng, err := serve.New(a, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	eng.SetTestHook(func() {
+		hold.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	srv, err := NewServer(ServerConfig{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+
+	rc := dialRaw(t, ln.Addr().String())
+	rc.handshake()
+	rc.send(AppendQueryFrame(nil, 1, Query{Type: TypeDist, U: 1, V: 2}))
+	<-entered
+	var buf []byte
+	for i := 2; i <= 8; i++ {
+		buf = AppendQueryFrame(buf, uint64(i), Query{Type: TypeDist, U: int32(i), V: 3})
+	}
+	rc.send(buf)
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shut <- srv.Shutdown(ctx)
+	}()
+	for !srv.closing() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	next := uint64(1)
+	for {
+		hdr, payload, err := rc.fr.Next()
+		if err != nil {
+			t.Fatalf("stream ended after %d replies without a goodbye: %v", next-1, err)
+		}
+		if hdr.Type == MsgError {
+			var e ErrorFrame
+			if err := DecodeError(payload, &e); err != nil {
+				t.Fatal(err)
+			}
+			if hdr.Corr != 0 || e.Code != CodeClosed {
+				t.Fatalf("error frame corr %d code %v (%s), want the CodeClosed goodbye", hdr.Corr, e.Code, e.Detail)
+			}
+			break
+		}
+		if hdr.Type != MsgReply || hdr.Corr != next {
+			t.Fatalf("frame type %d corr %d, want a reply to corr %d", hdr.Type, hdr.Corr, next)
+		}
+		var rep Reply
+		if err := DecodeReply(payload, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Code != CodeOK {
+			t.Fatalf("corr %d: code %v (%s)", hdr.Corr, rep.Code, rep.Detail)
+		}
+		next++
+	}
+	if next == 1 {
+		t.Fatal("the frame being evaluated at Shutdown was never answered")
+	}
+	if _, _, err := rc.fr.Next(); err == nil {
+		t.Fatal("stream still open after the goodbye")
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
 func TestServerObsMetrics(t *testing.T) {
 	ob := obs.New()
-	addr, _ := startWire(t, serve.Config{Obs: ob}, ServerConfig{Obs: ob})
+	addr, _ := startWire(t, serve.Config{Obs: ob, MaxBatch: 2}, ServerConfig{Obs: ob})
 	rc := dialRaw(t, addr)
 	rc.handshake()
 	rc.query(1, Query{Type: TypeDist, U: 1, V: 2})
-	snap := ob.Registry().Snapshot()
-	found := false
-	for _, m := range snap {
-		if m.Name == "transport.requests" && metricHasLabel(m.Labels, "transport", "wire") {
-			found = m.Value >= 1
+	// An accepted batch and a refused over-limit one: each frame counts as
+	// one request with one latency sample, and the refusal as an error.
+	rc.send(AppendBatchFrame(nil, 2, []Query{{Type: TypeDist, U: 1, V: 2}}))
+	if hdr, _ := rc.recv(); hdr.Type != MsgBatchReply {
+		t.Fatalf("batch answered with frame type %d", hdr.Type)
+	}
+	rc.send(AppendBatchFrame(nil, 3, make([]Query, 3)))
+	if hdr, _ := rc.recv(); hdr.Type != MsgError {
+		t.Fatalf("over-limit batch answered with frame type %d", hdr.Type)
+	}
+	// Healthz probes are not requests.
+	rc.send(AppendHealthzFrame(nil, 4))
+	rc.recv()
+	var requests, errs, samples int64 = -1, -1, -1
+	for _, m := range ob.Registry().Snapshot() {
+		if !metricHasLabel(m.Labels, "transport", "wire") {
+			continue
+		}
+		switch m.Name {
+		case "transport.requests":
+			requests = int64(m.Value)
+		case "transport.errors":
+			errs = int64(m.Value)
+		case "transport.latency_us":
+			samples = m.Count
 		}
 	}
-	if !found {
-		t.Fatalf("no transport.requests{transport=wire} series in registry snapshot")
+	if requests != 3 || errs != 1 || samples != 3 {
+		t.Fatalf("transport{transport=wire}: requests %d errors %d latency samples %d, want 3, 1, 3",
+			requests, errs, samples)
 	}
 }
 
