@@ -17,7 +17,9 @@ race:
 	$(GO) test -race ./...
 
 # The root benchmarks, including BenchmarkArtifactBuild and
-# BenchmarkDeltaApply: the cost of one generation rebuild at n=5000.
+# BenchmarkDeltaApply (the cost of one generation rebuild at n=5000) and
+# BenchmarkNewMaintainer (the dynamic maintainer's witness index at n=5000,
+# GOMAXPROCS 1 and 2).
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -71,12 +73,14 @@ serve:
 
 # The dynamic-updates gate: maintainer, update-stream/log and delta-codec
 # tests under the race detector (including the delta-apply/LRU-eviction
-# regression race in internal/serve), plus the root acceptance tests:
-# per-batch bound maintenance, byte-identical delta round trips, and
+# regression race in internal/serve), the witness-index kernel against its
+# per-vertex BFS reference at 1, 2 and 4 workers, plus the root acceptance
+# tests: per-batch bound maintenance, byte-identical delta round trips, and
 # /update under concurrent load.
 dynamic:
 	$(GO) vet ./internal/dynamic/... ./internal/artifact/... ./internal/serve/...
 	$(GO) test -race ./internal/dynamic/... ./internal/artifact/...
+	$(GO) test -race -cpu 1,2,4 -run KernelMatchesReference ./internal/dynamic/
 	$(GO) test -run 'Delta|Update' -race ./internal/serve/... ./cmd/spannerd/...
 	$(GO) test -run 'Dynamic|Delta|Churn' -race .
 

@@ -13,8 +13,10 @@ package spanner
 // laptop; crank the constants for larger-scale runs.
 
 import (
+	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1163,6 +1165,37 @@ func BenchmarkDeltaApply(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkArt = a
+	}
+}
+
+var sinkMaintainer *DynamicMaintainer
+
+// Maintainer construction at servebench's shape: G(n,p) at n=5000 with
+// average degree 16 and its distributed skeleton, whose derived bound
+// (13–18) makes every witness search cover most of the graph. One
+// construction derives the bound and builds the witness index in one
+// multi-source BFS kernel, whose sweeps spread over GOMAXPROCS workers.
+func BenchmarkNewMaintainer(b *testing.B) {
+	g, err := MakeWorkload("gnp", 5000, 16, NewRand(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	skel, err := BuildSkeletonDistributed(g, SkeletonOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := NewDynamicMaintainer(g, skel.Spanner, DynamicConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkMaintainer = m
+			}
+		})
 	}
 }
 

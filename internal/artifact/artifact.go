@@ -123,10 +123,12 @@ func (a *Artifact) Words() []int64 {
 }
 
 // Marshal renders the artifact as its on-disk bytes: the word stream plus
-// FNV footer, little-endian.
+// FNV footer, little-endian. The footer is the memoized Checksum, computed
+// here over the stream when nothing has asked for it yet.
 func (a *Artifact) Marshal() []byte {
 	words := a.Words()
-	words = append(words, fnvWords(words))
+	a.sum.once.Do(func() { a.sum.v = fnvWords(words) })
+	words = append(words, a.sum.v)
 	buf := make([]byte, 8*len(words))
 	for i, v := range words {
 		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))

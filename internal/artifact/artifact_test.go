@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -212,6 +213,36 @@ func TestChecksumConcurrent(t *testing.T) {
 		if got != want {
 			t.Fatalf("caller %d: Checksum %#x, want %#x", i, got, want)
 		}
+	}
+}
+
+// TestMarshalFooterIsChecksum checks that Marshal's footer is the memoized
+// checksum whichever of Marshal and Checksum runs first, and that the
+// order does not change the bytes.
+func TestMarshalFooterIsChecksum(t *testing.T) {
+	footer := func(data []byte) int64 {
+		return int64(binary.LittleEndian.Uint64(data[len(data)-8:]))
+	}
+	before := testArtifact(t, 80, 2, 6)
+	want := fnvWords(before.Words())
+	if got := before.Checksum(); got != want {
+		t.Fatalf("Checksum %#x, want %#x", got, want)
+	}
+	first := before.Marshal()
+	if got := footer(first); got != want {
+		t.Fatalf("footer after Checksum %#x, want %#x", got, want)
+	}
+
+	after := testArtifact(t, 80, 2, 6)
+	second := after.Marshal()
+	if got := footer(second); got != want {
+		t.Fatalf("footer before Checksum %#x, want %#x", got, want)
+	}
+	if got := after.Checksum(); got != want {
+		t.Fatalf("Checksum after Marshal %#x, want %#x", got, want)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("Marshal bytes depend on whether Checksum ran first")
 	}
 }
 

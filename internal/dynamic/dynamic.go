@@ -19,6 +19,16 @@
 // repaired-edge count, or batch count — a rebuild scheduler escalates to a
 // full from-scratch rebuild.
 //
+// The witness index is built whole only at construction and after a full
+// rebuild. At the bound a skeleton's stretch implies (13–18 at n = 5000) a
+// witness search covers most of the spanner, so the build is an all-pairs
+// BFS in all but name. It runs as one multi-source, bit-parallel BFS kernel
+// (MS-BFS): 64 searches share each pass over a vertex's spanner neighbours,
+// for O(⌈n/64⌉·L·(n+|S|)) time at depth L, and the 64-source sweeps are
+// spread over runtime.GOMAXPROCS(0) workers. The same kernel derives the
+// bound (DeriveBound) and picks exactly the witness paths a per-vertex BFS
+// would.
+//
 // Everything randomized takes an explicit seed; the same seed yields the
 // same stream, the same admissions, and the same maintained spanner.
 package dynamic
@@ -222,6 +232,12 @@ type Maintainer struct {
 // NewMaintainer validates that spanner is a subgraph of g satisfying the
 // configured bound and returns a maintainer over independent copies of both
 // (the caller's graph and edge set are never mutated).
+//
+// Validation, the bound derivation (when Config.Bound ≤ 0) and the witness
+// index are one run of the multi-source BFS kernel: O(⌈n/64⌉·L·(n+|S|))
+// time for spanner depth L (the bound, or the worst edge stretch when
+// derived), on runtime.GOMAXPROCS(0) workers, each holding O(n) words of
+// scratch plus 64 distances per vertex.
 func NewMaintainer(g *graph.Graph, spanner *graph.EdgeSet, cfg Config) (*Maintainer, error) {
 	if g == nil || spanner == nil {
 		return nil, errors.New("dynamic: nil graph or spanner")
@@ -229,18 +245,10 @@ func NewMaintainer(g *graph.Graph, spanner *graph.EdgeSet, cfg Config) (*Maintai
 	if !spanner.Subset(g) {
 		return nil, fmt.Errorf("%w: spanner has edges outside the graph", ErrInvalidSpanner)
 	}
-	bound := cfg.Bound
-	if bound <= 0 {
-		b, err := DeriveBound(g, spanner)
-		if err != nil {
-			return nil, err
-		}
-		bound = b
-	}
 	m := &Maintainer{
 		cfg:          cfg,
 		n:            g.N(),
-		bound:        bound,
+		bound:        cfg.Bound,
 		edges:        graph.NewEdgeSet(g.M()),
 		spanner:      spanner.Clone(),
 		g:            g,
@@ -254,6 +262,7 @@ func NewMaintainer(g *graph.Graph, spanner *graph.EdgeSet, cfg Config) (*Maintai
 	}
 	// Building the witness index doubles as the validity check: it fails
 	// exactly when some graph edge has no spanner path within the bound.
+	// With no bound configured, the same pass derives it.
 	if err := m.initWitnesses(); err != nil {
 		return nil, err
 	}
@@ -274,45 +283,18 @@ func NewMaintainer(g *graph.Graph, spanner *graph.EdgeSet, cfg Config) (*Maintai
 // endpoints are disconnected in the spanner.
 func DeriveBound(g *graph.Graph, spanner *graph.EdgeSet) (int, error) {
 	sg := spanner.ToGraph(g.N())
-	dist := sg.NewDistScratch()
-	worst := int32(1)
-	for u := int32(0); int(u) < g.N(); u++ {
-		rem := make(map[int32]bool) // forward neighbors still unsettled
-		for _, v := range g.Neighbors(u) {
-			if v > u {
-				rem[v] = true
-			}
+	return boundOf(sweepAll(g, csrOf(g.N(), sg.Neighbors), 0, false))
+}
+
+// boundOf folds the sweeps of an unlimited kernel run into DeriveBound's
+// answer.
+func boundOf(res []sweepResult) (int, error) {
+	worst := int32(3)
+	for _, r := range res {
+		if r.badAt >= 0 {
+			return 0, fmt.Errorf("dynamic: cannot derive bound: %d graph edges at vertex %d unreachable in spanner", r.badAtN, r.badAt)
 		}
-		if len(rem) == 0 {
-			continue
-		}
-		// BFS in the spanner until every forward neighbor is settled; no
-		// radius cap — we are measuring, not checking.
-		dist[u] = 0
-		reached := []int32{u}
-		for head := 0; head < len(reached) && len(rem) > 0; head++ {
-			x := reached[head]
-			for _, y := range sg.Neighbors(x) {
-				if dist[y] != graph.Unreachable {
-					continue
-				}
-				dist[y] = dist[x] + 1
-				reached = append(reached, y)
-				if rem[y] {
-					delete(rem, y)
-					if dist[y] > worst {
-						worst = dist[y]
-					}
-				}
-			}
-		}
-		graph.ResetDistScratch(dist, reached)
-		if len(rem) > 0 {
-			return 0, fmt.Errorf("dynamic: cannot derive bound: %d graph edges at vertex %d unreachable in spanner", len(rem), u)
-		}
-	}
-	if worst < 3 {
-		worst = 3
+		worst = max(worst, r.worst)
 	}
 	return int(worst), nil
 }
@@ -412,47 +394,36 @@ func (m *Maintainer) repairFn(residual *graph.Graph, attempt int) (*graph.EdgeSe
 	return res.Spanner, nil
 }
 
-// initWitnesses computes a witness path for every graph edge (one truncated
-// BFS per vertex over the spanner) and builds the inverted index. It errors
-// when some edge is uncovered — so it doubles as the full validity check.
+// initWitnesses computes a witness path for every graph edge with one
+// kernel run over the spanner adjacency (see sweepAll) and builds the
+// inverted index. It errors when some edge is uncovered, so it doubles as
+// the full validity check. With no bound set yet, the run is unlimited and
+// derives the bound as DeriveBound does.
 func (m *Maintainer) initWitnesses() error {
-	m.witness = make(map[int64][]int64, m.edges.Len())
-	m.usedBy = make(map[int64]map[int64]struct{}, m.spanner.Len())
-	fwd := make([][]int32, m.n)
-	m.edges.ForEach(func(u, v int32) { fwd[u] = append(fwd[u], v) })
-	dist := m.dist
-	limit := int32(m.bound)
+	res := sweepAll(m.Graph(), csrOf(m.n, func(v int32) []int32 { return m.sadj[v] }), int32(m.bound), true)
+	if m.bound <= 0 {
+		b, err := boundOf(res)
+		if err != nil {
+			return err
+		}
+		m.bound = b
+	}
 	bad := 0
-	for u := int32(0); int(u) < m.n; u++ {
-		if len(fwd[u]) == 0 {
-			continue
-		}
-		dist[u] = 0
-		reached := []int32{u}
-		for head := 0; head < len(reached); head++ {
-			x := reached[head]
-			dx := dist[x]
-			if dx == limit {
-				continue
-			}
-			for _, y := range m.sadj[x] {
-				if dist[y] == graph.Unreachable {
-					dist[y] = dx + 1
-					reached = append(reached, y)
-				}
-			}
-		}
-		for _, v := range fwd[u] {
-			if dist[v] == graph.Unreachable {
-				bad++
-				continue
-			}
-			m.setWitness(graph.EdgeKey(u, v), m.walkWitness(dist, u, v))
-		}
-		graph.ResetDistScratch(dist, reached)
+	for _, r := range res {
+		bad += r.bad
 	}
 	if bad > 0 {
 		return fmt.Errorf("%w: %d edges stretched past %d", ErrInvalidSpanner, bad, m.bound)
+	}
+	m.witness = make(map[int64][]int64, m.edges.Len())
+	m.usedBy = make(map[int64]map[int64]struct{}, m.spanner.Len())
+	for _, r := range res {
+		lo := int32(0)
+		for j, gk := range r.keys {
+			hi := r.ends[j]
+			m.setWitness(gk, r.flat[lo:hi:hi])
+			lo = hi
+		}
 	}
 	return nil
 }
@@ -550,15 +521,16 @@ func (m *Maintainer) coveredPath(u, v int32) ([]int64, bool) {
 // net graph/spanner deltas for the artifact delta codec.
 func (m *Maintainer) ApplyBatch(b Batch) (*BatchReport, error) {
 	start := time.Now()
-	m.seq++
-	m.batchesSince++
-	rep := &BatchReport{Seq: m.seq}
-
+	// Validate before counting: a rejected batch leaves the maintainer
+	// exactly as it was, its sequence number and rebuild budget included.
 	for _, up := range b {
 		if up.U < 0 || up.V < 0 || int(up.U) >= m.n || int(up.V) >= m.n || up.U == up.V {
 			return nil, fmt.Errorf("%w: %s (%d,%d) on %d vertices", ErrBadUpdate, up.Op, up.U, up.V, m.n)
 		}
 	}
+	m.seq++
+	m.batchesSince++
+	rep := &BatchReport{Seq: m.seq}
 
 	// Phase 1: deletions. A deleted graph edge needs no certificate anymore;
 	// a deleted spanner edge is recorded so its dependent certificates (via

@@ -308,7 +308,7 @@ func TestMaintainerDeterminism(t *testing.T) {
 }
 
 func TestApplyBatchRejectsBadUpdates(t *testing.T) {
-	m, _ := testMaintainer(t, 40, 1, Config{})
+	m, _ := testMaintainer(t, 40, 1, Config{Policy: RebuildPolicy{MaxBatches: 2}})
 	for _, b := range []Batch{
 		{{Op: OpInsert, U: -1, V: 2}},
 		{{Op: OpInsert, U: 0, V: 40}},
@@ -317,5 +317,16 @@ func TestApplyBatchRejectsBadUpdates(t *testing.T) {
 		if _, err := m.ApplyBatch(b); !errors.Is(err, ErrBadUpdate) {
 			t.Fatalf("batch %v accepted: %v", b, err)
 		}
+	}
+	// Rejected batches neither count nor spend the rebuild budget.
+	if got := m.Batches(); got != 0 {
+		t.Fatalf("Batches() = %d after three rejected batches, want 0", got)
+	}
+	rep, err := m.ApplyBatch(Batch{{Op: OpDelete, U: 0, V: 39}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Seq != 1 || rep.Rebuilt {
+		t.Fatalf("first good batch: Seq=%d Rebuilt=%v, want 1/false", rep.Seq, rep.Rebuilt)
 	}
 }
