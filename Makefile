@@ -107,30 +107,30 @@ chaoscheck:
 		./cmd/spannerd/... ./internal/dynamic/... ./internal/serve/...
 	$(GO) test -run TestResilienceOverhead -count=1 ./internal/serve/
 
-# The cluster-serving gate: the replica state machine, two-phase swap,
-# failover/hedging/catch-up and router surface tests under the race
-# detector, then the subprocess node-kill chaos suite (real spannerd and
-# spannerrouter processes, SIGKILLs landing mid-swap, mid-update and
-# under load: zero wrong answers, no generation divergence, rejoin at
-# the committed generation, quorum loss degrades instead of failing).
+# The cluster-serving gate: every router and replica test, whole-graph
+# and partitioned, under the race detector (replica state machine, the
+# two-phase commit, failover/hedging/catch-up, scatter-gather, the router's
+# HTTP surface in both modes) including both subprocess node-kill chaos
+# suites (real spannerd and spannerrouter processes, SIGKILLs landing
+# mid-swap, mid-update and under load: zero wrong answers, no generation
+# divergence, rejoin at the committed generation, quorum loss degrades
+# instead of failing).
 clustercheck:
 	$(GO) vet ./internal/clusterserve/... ./cmd/spannerrouter/...
-	$(GO) test -race ./internal/clusterserve/... ./cmd/spannerrouter/...
-	$(GO) test -run 'Cluster|Replica|TwoPhase|Failover|CatchUp|Quorum|Hedged|NodeKill' -race -count=1 \
-		./internal/clusterserve/... ./cmd/spannerrouter/... ./client/...
+	$(GO) test -race -count=1 ./internal/clusterserve/... ./cmd/spannerrouter/...
 
-# The partitioned-serving gate: the splitter, part/map codecs, partition
-# engine and scatter-gather/composed-swap cluster tests under the race
-# detector, then the subprocess partitioned node-kill chaos suite (3
-# partitions × 2 members as real processes, SIGKILLs landing mid-composed-
-# swap and under load: zero wrong answers, composed/degraded answers
-# bracket the truth, the composed generation never observed partially
-# committed).
+# The partitioned-serving gate: the splitter, part/map codecs and partition
+# engine under the race detector, then the subprocess partitioned node-kill
+# chaos suite (3 partitions × 2 members as real processes, SIGKILLs landing
+# mid-composed-swap and under load: zero wrong answers, composed/degraded
+# answers bracket the truth, the composed generation never observed
+# partially committed). The router's own partitioned tests run in
+# clustercheck.
 partcheck:
-	$(GO) vet ./internal/partition/... ./internal/clusterserve/... ./cmd/spannerrouter/...
+	$(GO) vet ./internal/partition/...
 	$(GO) test -race ./internal/partition/...
 	$(GO) test -run 'Partition|ComposedSwap|Quorum|Part|Split|Covered|Compose' -race -count=1 \
-		./internal/partition/... ./internal/artifact/... ./internal/serve/... ./internal/clusterserve/...
+		./internal/partition/... ./internal/artifact/... ./internal/serve/...
 	$(GO) test -run TestPartitionedNodeKillChaos -race -count=1 -timeout 300s ./cmd/spannerrouter/
 
 # The binary-transport gate: the wire codec and server plus the pooled,

@@ -1,7 +1,8 @@
-// Command spannerrouter is the cluster coordinator: it fronts N spannerd
-// replicas (started with -cluster/-join), probes their health, routes
-// queries with failover and hedging, and drives cluster-wide artifact
-// generation changes through a two-phase commit so replicas never diverge.
+// Command spannerrouter is the cluster coordinator: one router in front of
+// spannerd replicas (started with -cluster/-join), whole-graph or
+// partitioned. It probes their health, routes queries with failover and
+// hedging, and drives cluster-wide generation changes through a two-phase
+// commit so replicas never diverge.
 //
 // Start three replicas and a router:
 //
@@ -20,12 +21,14 @@
 // them. Losing quorum does not turn into 503s: distance queries degrade to
 // explicitly flagged landmark upper bounds until quorum returns.
 //
-// With -partition-map the router runs in partitioned mode instead: the
-// graph is sharded across K partition groups (spanner -partition-out K,
-// spannerd -partition part-i.spanpart), replicas are assigned to groups by
-// the partition they report, queries scatter to the owning group and fall
-// over to foreign groups with flagged Composed bounds, and /swap takes
-// {"map": path} to commit all K partitions as one composed generation.
+// -partition-map supplies a partition map: the graph is then sharded
+// across K replica groups (spanner -partition-out K, spannerd -partition
+// part-i.spanpart), replicas are assigned to groups by the partition they
+// report, queries go to the owning group and fall over to foreign groups
+// with flagged Composed bounds, route queries are refused, and /swap takes
+// {"map": path} to commit all K partitions as one composed generation
+// (/update, a whole-graph delta, is a 400). Without a map the router is
+// the same coordinator over one group that owns every vertex.
 package main
 
 import (
@@ -66,7 +69,7 @@ func run() error {
 		ctrlTimeout  = flag.Duration("control-timeout", 5*time.Second, "control-plane call timeout (probes, prepare/commit)")
 		seed         = flag.Int64("seed", 1, "per-replica client jitter seed")
 
-		partitionMap = flag.String("partition-map", "", "partition map (.spanmap): run as a partitioned scatter-gather router")
+		partitionMap = flag.String("partition-map", "", "partition map (.spanmap): shard the graph across its K replica groups")
 	)
 	flag.Parse()
 
@@ -80,7 +83,9 @@ func run() error {
 		return errors.New("-replicas is required (or start replicas with -join and pass at least one seed URL)")
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	base := clusterserve.Config{
+	rt, err := clusterserve.NewRouter(clusterserve.Config{
+		Replicas:       urls,
+		MapPath:        *partitionMap,
 		ProbeInterval:  *probeEvery,
 		ProbeTimeout:   *probeTimeout,
 		EjectAfter:     *ejectAfter,
@@ -91,26 +96,11 @@ func run() error {
 		ControlTimeout: *ctrlTimeout,
 		Seed:           *seed,
 		Logger:         logger,
+	})
+	if err != nil {
+		return err
 	}
-
-	var handler http.Handler
-	if *partitionMap != "" {
-		pc, err := clusterserve.NewPartitioned(clusterserve.PartitionedConfig{
-			MapPath:  *partitionMap,
-			Replicas: urls,
-			Base:     base,
-		})
-		if err != nil {
-			return err
-		}
-		defer pc.Close()
-		handler = newPartitionServer(pc, logger).routes()
-	} else {
-		base.Replicas = urls
-		cl := clusterserve.New(base)
-		defer cl.Close()
-		handler = newRouterServer(cl, logger).routes()
-	}
+	defer rt.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -118,7 +108,7 @@ func run() error {
 	}
 	logger.Info("router listening", "addr", ln.Addr().String(),
 		"replicas", len(urls), "partitioned", *partitionMap != "")
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: newRouterServer(rt, logger).routes()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	sigc := make(chan os.Signal, 1)

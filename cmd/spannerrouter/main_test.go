@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"spanner/client"
+	"spanner/internal/artifact"
 	"spanner/internal/clusterserve"
 	"spanner/internal/serve"
 )
@@ -20,11 +22,17 @@ func discardLogger() *slog.Logger {
 }
 
 // fakeReplicaServer is the minimal in-process replica the router surface
-// tests need: a real engine + cluster control plane behind httptest.
-func fakeReplicaServer(t *testing.T) *httptest.Server {
+// tests need: a real engine + cluster control plane behind httptest. It
+// serves part when non-nil (spannerd -partition), else a whole artifact.
+func fakeReplicaServer(t *testing.T, part *artifact.Part) *httptest.Server {
 	t.Helper()
-	art := chaosArtifact(t, 60, 3)
-	eng, err := serve.New(art, serve.Config{})
+	var eng *serve.Engine
+	var err error
+	if part != nil {
+		eng, err = serve.NewPart(part, serve.Config{})
+	} else {
+		eng, err = serve.New(chaosArtifact(t, 60, 3), serve.Config{})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,119 +63,182 @@ func fakeReplicaServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// testRouter wires a routerServer over one fake replica and waits for it
-// to be adopted and routed.
-func testRouter(t *testing.T) (*httptest.Server, *clusterserve.Cluster) {
+// serveRouter builds the router over cfg, serves it over httptest, and
+// waits until every group is quorate.
+func serveRouter(t *testing.T, cfg clusterserve.Config) (*httptest.Server, *clusterserve.Router) {
 	t.Helper()
-	replica := fakeReplicaServer(t)
-	cl := clusterserve.New(clusterserve.Config{
-		Replicas:      []string{replica.URL},
-		ProbeInterval: 20 * time.Millisecond,
-		Quorum:        1,
-		Seed:          3,
-	})
-	t.Cleanup(cl.Close)
-	srv := httptest.NewServer(newRouterServer(cl, discardLogger()).routes())
-	t.Cleanup(srv.Close)
-	deadline := time.Now().Add(10 * time.Second)
-	for cl.Status().ReadyCount == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never adopted: %+v", cl.Status())
-		}
-		time.Sleep(10 * time.Millisecond)
+	cfg.ProbeInterval = 20 * time.Millisecond
+	cfg.Quorum = 1
+	cfg.Seed = 3
+	rt, err := clusterserve.NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return srv, cl
+	t.Cleanup(rt.Close)
+	srv := httptest.NewServer(newRouterServer(rt, discardLogger()).routes())
+	t.Cleanup(srv.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rt.WaitReady(ctx, 1); err != nil {
+		t.Fatalf("replica never adopted: %v", err)
+	}
+	return srv, rt
 }
 
-// TestRouterHTTPSurface covers the router's wire contract: query forms,
-// attribution headers, error statuses, join idempotence, and the status
-// endpoints.
+// testRouter serves an unpartitioned router over one fake replica.
+func testRouter(t *testing.T) (*httptest.Server, *clusterserve.Router) {
+	t.Helper()
+	return serveRouter(t, clusterserve.Config{Replicas: []string{fakeReplicaServer(t, nil).URL}})
+}
+
+// testPartRouter serves a router with a two-partition map, one fake part
+// replica per partition.
+func testPartRouter(t *testing.T) (*httptest.Server, *clusterserve.Router) {
+	t.Helper()
+	mapPath, res := writeSplit(t, chaosArtifact(t, 60, 3), 2, 5, t.TempDir())
+	var urls []string
+	for _, p := range res.Parts {
+		urls = append(urls, fakeReplicaServer(t, p).URL)
+	}
+	return serveRouter(t, clusterserve.Config{Replicas: urls, MapPath: mapPath})
+}
+
+// TestRouterHTTPSurface covers the router's wire contract in both modes:
+// query forms, attribution headers, error statuses, join idempotence, and
+// the status endpoints.
 func TestRouterHTTPSurface(t *testing.T) {
-	srv, cl := testRouter(t)
+	for _, tc := range []struct {
+		name   string
+		router func(t *testing.T) (*httptest.Server, *clusterserve.Router)
+		// mutations maps "path body" to its status; none moves the
+		// generation.
+		mutations map[string]int
+		route     int // status of a route query
+		// joined checks /statusz after a duplicate join of a dead replica.
+		joined func(t *testing.T, body []byte)
+	}{{
+		name:   "whole",
+		router: testRouter,
+		mutations: map[string]int{
+			// Mutations without the required field are 400s before
+			// touching the cluster.
+			`/swap {}`: http.StatusBadRequest,
+			// A swap naming an unreadable artifact aborts in prepare.
+			`/swap {"artifact":"/no/such/file"}`: http.StatusUnprocessableEntity,
+			`/swap {"map":"/no/such/file"}`:      http.StatusBadRequest,
+		},
+		route: http.StatusOK,
+		joined: func(t *testing.T, body []byte) {
+			var st clusterserve.Status
+			json.Unmarshal(body, &st)
+			if len(st.Members) != 2 {
+				t.Fatalf("after duplicate join: %d members, want 2", len(st.Members))
+			}
+		},
+	}, {
+		name:   "partitioned",
+		router: testPartRouter,
+		mutations: map[string]int{
+			`/swap {}`:                           http.StatusBadRequest,
+			`/swap {"artifact":"/no/such/file"}`: http.StatusBadRequest,
+			`/swap {"map":"/no/such/file"}`:      http.StatusUnprocessableEntity,
+			`/update {"delta":"/no/such/file"}`:  http.StatusBadRequest,
+			`/update {}`:                         http.StatusBadRequest,
+		},
+		route: http.StatusBadRequest,
+		joined: func(t *testing.T, body []byte) {
+			var st clusterserve.PartitionedStatus
+			json.Unmarshal(body, &st)
+			if len(st.Groups) != 2 || len(st.Pending) != 1 {
+				t.Fatalf("after duplicate join: %d groups, pending %v; want 2 groups, 1 pending", len(st.Groups), st.Pending)
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, cl := tc.router(t)
 
-	// GET query succeeds, stamps generation 1, names the serving replica.
-	resp, err := http.Get(srv.URL + "/query?type=dist&u=3&v=17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep client.Reply
-	json.NewDecoder(resp.Body).Decode(&rep)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || rep.Gen != 1 {
-		t.Fatalf("GET query: status %d gen %d", resp.StatusCode, rep.Gen)
-	}
-	if resp.Header.Get("X-Served-By") == "" {
-		t.Fatal("missing X-Served-By attribution header")
-	}
+			// GET query succeeds, stamps generation 1, names the serving replica.
+			resp, err := http.Get(srv.URL + "/query?type=dist&u=3&v=17")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep client.Reply
+			json.NewDecoder(resp.Body).Decode(&rep)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || rep.Gen != 1 {
+				t.Fatalf("GET query: status %d gen %d", resp.StatusCode, rep.Gen)
+			}
+			if resp.Header.Get("X-Served-By") == "" {
+				t.Fatal("missing X-Served-By attribution header")
+			}
 
-	// Malformed coordinates and unknown query types are 400s, not 502s.
-	for _, q := range []string{"/query?type=dist&u=x&v=2", "/query?type=bogus&u=1&v=2"} {
-		resp, err := http.Get(srv.URL + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", q, resp.StatusCode)
-		}
-	}
+			// Malformed coordinates and unknown query types are 400s, not 502s.
+			for _, q := range []string{"/query?type=dist&u=x&v=2", "/query?type=bogus&u=1&v=2"} {
+				resp, err := http.Get(srv.URL + q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("%s: status %d, want 400", q, resp.StatusCode)
+				}
+			}
+			resp, err = http.Get(srv.URL + "/query?type=route&u=1&v=2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.route {
+				t.Fatalf("route query: status %d, want %d", resp.StatusCode, tc.route)
+			}
 
-	// Mutations without the required field are 400s before touching the
-	// cluster.
-	resp, err = http.Post(srv.URL+"/swap", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty swap body: status %d, want 400", resp.StatusCode)
-	}
-	// A swap naming an unreadable artifact aborts in prepare (422).
-	resp, err = http.Post(srv.URL+"/swap", "application/json", strings.NewReader(`{"artifact":"/no/such/file"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad artifact swap: status %d, want 422", resp.StatusCode)
-	}
-	if got := cl.Gen(); got != 1 {
-		t.Fatalf("failed swap moved the generation to %d", got)
-	}
+			for req, want := range tc.mutations {
+				path, body, _ := strings.Cut(req, " ")
+				resp, err = http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Fatalf("%s: status %d, want %d", req, resp.StatusCode, want)
+				}
+			}
+			if got := cl.Gen(); got != 1 {
+				t.Fatalf("failed swap moved the generation to %d", got)
+			}
 
-	// Join is idempotent and visible in /statusz.
-	for i := 0; i < 2; i++ {
-		resp, err = http.Post(srv.URL+"/join", "application/json",
-			strings.NewReader(`{"url":"http://127.0.0.1:1"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("join: status %d", resp.StatusCode)
-		}
-	}
-	var st clusterserve.Status
-	resp, err = http.Get(srv.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if len(st.Members) != 2 {
-		t.Fatalf("after duplicate join: %d members, want 2", len(st.Members))
-	}
+			// Join is idempotent and visible in /statusz.
+			for i := 0; i < 2; i++ {
+				resp, err = http.Post(srv.URL+"/join", "application/json",
+					strings.NewReader(`{"url":"http://127.0.0.1:1"}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("join: status %d", resp.StatusCode)
+				}
+			}
+			resp, err = http.Get(srv.URL + "/statusz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			tc.joined(t, body)
 
-	// healthz is always 200; readyz is 200 while quorum (1) holds even
-	// though the joined dead replica can never become ready.
-	for path, want := range map[string]int{"/healthz": 200, "/readyz": 200} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Fatalf("%s: status %d, want %d", path, resp.StatusCode, want)
-		}
+			// healthz is always 200; readyz is 200 while quorum (1) holds even
+			// though the joined dead replica can never become ready.
+			for path, want := range map[string]int{"/healthz": 200, "/readyz": 200} {
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Fatalf("%s: status %d, want %d", path, resp.StatusCode, want)
+				}
+			}
+		})
 	}
 }

@@ -451,7 +451,12 @@ func TestNodeKillChaos(t *testing.T) {
 	var rep wireReply
 	code, err := getJSON(routerURL+"/query?type=dist&u=3&v=77", &rep)
 	if err != nil || code != http.StatusOK {
-		t.Fatalf("query under quorum loss: code %d err %v — must degrade, not fail", code, err)
+		var st struct {
+			Members json.RawMessage `json:"members"`
+		}
+		getJSON(routerURL+"/statusz", &st)
+		t.Fatalf("query under quorum loss: code %d err %v router error %q — must degrade, not fail; /statusz members %s",
+			code, err, rep.Err, st.Members)
 	}
 	if !rep.Degraded {
 		t.Fatal("quorum-loss answer not flagged degraded")

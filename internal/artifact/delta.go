@@ -94,20 +94,7 @@ func Diff(base, next *Artifact) (*Delta, error) {
 		return nil, fmt.Errorf("artifact: Diff across vertex counts (%d vs %d)", base.Graph.N(), next.Graph.N())
 	}
 	var seg DeltaSegment
-	baseEdges := graph.NewEdgeSet(base.Graph.M())
-	base.Graph.ForEachEdge(func(u, v int32) { baseEdges.Add(u, v) })
-	nextEdges := graph.NewEdgeSet(next.Graph.M())
-	next.Graph.ForEachEdge(func(u, v int32) { nextEdges.Add(u, v) })
-	nextEdges.ForEach(func(u, v int32) {
-		if !baseEdges.Has(u, v) {
-			seg.GraphAdd = append(seg.GraphAdd, graph.EdgeKey(u, v))
-		}
-	})
-	baseEdges.ForEach(func(u, v int32) {
-		if !nextEdges.Has(u, v) {
-			seg.GraphDel = append(seg.GraphDel, graph.EdgeKey(u, v))
-		}
-	})
+	seg.GraphAdd, seg.GraphDel = diffGraphs(base.Graph, next.Graph)
 	next.Spanner.ForEach(func(u, v int32) {
 		if !base.Spanner.Has(u, v) {
 			seg.SpanAdd = append(seg.SpanAdd, graph.EdgeKey(u, v))
@@ -118,11 +105,34 @@ func Diff(base, next *Artifact) (*Delta, error) {
 			seg.SpanDel = append(seg.SpanDel, graph.EdgeKey(u, v))
 		}
 	})
-	slices.Sort(seg.GraphAdd)
-	slices.Sort(seg.GraphDel)
 	slices.Sort(seg.SpanAdd)
 	slices.Sort(seg.SpanDel)
 	return &Delta{BaseSum: base.Checksum(), Segments: []DeltaSegment{seg}}, nil
+}
+
+// diffGraphs returns the keys of the edges only next has (add) and only
+// base has (del), both ascending. Neighbour lists are sorted, so one
+// two-pointer merge per vertex over its higher neighbours visits each
+// graph's edges in EdgeKey order.
+func diffGraphs(base, next *graph.Graph) (add, del []int64) {
+	for u := int32(0); int(u) < base.N(); u++ {
+		a, b := base.Neighbors(u), next.Neighbors(u)
+		i, _ := slices.BinarySearch(a, u+1)
+		j, _ := slices.BinarySearch(b, u+1)
+		for i < len(a) || j < len(b) {
+			switch {
+			case j == len(b) || i < len(a) && a[i] < b[j]:
+				del = append(del, graph.EdgeKey(u, a[i]))
+				i++
+			case i == len(a) || b[j] < a[i]:
+				add = append(add, graph.EdgeKey(u, b[j]))
+				j++
+			default:
+				i, j = i+1, j+1
+			}
+		}
+	}
+	return add, del
 }
 
 // Apply patches base with the delta's segments in order and returns a new

@@ -28,10 +28,16 @@ var (
 	ErrNoReplicas = errors.New("clusterserve: no replica answered")
 )
 
-// Config tunes a Cluster. The zero value (plus Replicas) is serviceable.
+// Config tunes a Router and its replica groups. The zero value (plus
+// Replicas) is serviceable.
 type Config struct {
 	// Replicas is the seed list of replica base URLs; more join via Add.
 	Replicas []string
+	// MapPath, when set, is the partition map file: it defines the group
+	// count K, vertex ownership, and the pinned checksum of every part, and
+	// replicas are sorted into groups by the partition each reports
+	// serving. Empty means one group that owns every vertex.
+	MapPath string
 	// ProbeInterval paces the health prober (default 500ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round trip (default 1s).
@@ -152,9 +158,9 @@ type genRecord struct {
 	Path     string `json:"path,omitempty"`
 }
 
-// Cluster is the coordinator: it owns the member set, the health prober,
-// the committed generation history, and the routing policy. Create with
-// New, stop with Close. Safe for concurrent use.
+// Cluster is one replica group of a Router: it owns the group's member
+// set, its health prober, its committed generation history, and failover
+// among its members. Safe for concurrent use.
 type Cluster struct {
 	cfg  Config
 	ctrl *http.Client // control-plane calls (probe, 2PC, adopt)
@@ -164,9 +170,9 @@ type Cluster struct {
 	records []genRecord // records[i].Gen == int64(i)+1
 	gen     int64       // committed cluster generation (0 = unbootstrapped)
 
-	// mutMu serializes generation mutations (Swap/Update 2PC) and catch-up
-	// replays — a replay walking records must not interleave with a commit
-	// extending them.
+	// mutMu serializes generation mutations (the Router's two-phase
+	// commit) and catch-up replays — a replay walking records must not
+	// interleave with a commit extending them.
 	mutMu sync.Mutex
 
 	txnSeq atomic.Int64
@@ -177,18 +183,17 @@ type Cluster struct {
 
 	// Routing statistics (Status surfaces them; loadgen's failover column
 	// and the chaos suite read them).
-	failovers      atomic.Int64
-	hedges         atomic.Int64
-	hedgeWins      atomic.Int64
-	degradedServed atomic.Int64
-	ejections      atomic.Int64
-	rejoins        atomic.Int64
-	catchups       atomic.Int64
+	failovers atomic.Int64
+	hedges    atomic.Int64
+	hedgeWins atomic.Int64
+	ejections atomic.Int64
+	rejoins   atomic.Int64
+	catchups  atomic.Int64
 }
 
-// New builds a cluster over cfg.Replicas and starts the health prober.
-func New(cfg Config) *Cluster {
-	cfg = cfg.withDefaults()
+// newCluster builds a group over cfg.Replicas and starts its health
+// prober; cfg already carries its defaults.
+func newCluster(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:  cfg,
 		ctrl: &http.Client{Timeout: cfg.ControlTimeout},
@@ -224,9 +229,9 @@ func (c *Cluster) newMember(url string) *member {
 	}
 }
 
-// Add registers a replica URL (the /join path). Idempotent; the prober
-// adopts or catches the replica up before it takes traffic.
-func (c *Cluster) Add(url string) {
+// add registers a replica URL. Idempotent; the prober adopts or catches
+// the replica up before it takes traffic.
+func (c *Cluster) add(url string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range c.members {
@@ -264,6 +269,12 @@ func (c *Cluster) readyMembers() []*member {
 		}
 	}
 	return out
+}
+
+// quorate returns the ready members and whether they meet the quorum.
+func (c *Cluster) quorate() ([]*member, bool) {
+	ready := c.readyMembers()
+	return ready, len(ready) >= c.quorum()
 }
 
 // quorum returns the effective quorum: the configured floor, or a
@@ -330,7 +341,7 @@ func (c *Cluster) probeAll() {
 // catch-up replay.
 func (c *Cluster) probe(m *member) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-	info, err := c.getInfo(ctx, m)
+	info, err := getInfo(ctx, c.ctrl, m.url)
 	cancel()
 	if err != nil {
 		if m.noteFailure(err, c.cfg.EjectAfter) {
@@ -527,13 +538,14 @@ func (c *Cluster) replayStep(ctx context.Context, m *member, r genRecord) error 
 
 // ---- control-plane HTTP helpers ------------------------------------------
 
-func (c *Cluster) getInfo(ctx context.Context, m *member) (replicaInfo, error) {
+// getInfo fetches one replica's /cluster/info.
+func getInfo(ctx context.Context, hc *http.Client, url string) (replicaInfo, error) {
 	var info replicaInfo
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/cluster/info", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/cluster/info", nil)
 	if err != nil {
 		return info, err
 	}
-	resp, err := c.ctrl.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return info, err
 	}
@@ -602,32 +614,6 @@ type QueryTrace struct {
 	Hedged bool
 	// Degraded reports the quorum-loss landmark-bound path served this.
 	Degraded bool
-}
-
-// Query routes one query to a healthy replica, failing over to alternates
-// on transport errors, timeouts and 5xx, hedging the tail when configured.
-// Under quorum loss, distance queries degrade to flagged landmark bounds
-// (any reachable replica can serve those safely); everything else returns
-// ErrNoQuorum.
-func (c *Cluster) Query(ctx context.Context, q client.Query) (client.Reply, error) {
-	rep, _, err := c.QueryTraced(ctx, q)
-	return rep, err
-}
-
-// QueryTraced is Query plus routing detail (loadgen's failover column).
-func (c *Cluster) QueryTraced(ctx context.Context, q client.Query) (client.Reply, QueryTrace, error) {
-	ready := c.readyMembers()
-	if len(ready) < c.quorum() {
-		return c.degradedQuery(ctx, q)
-	}
-	// Rotate the ready set so load spreads; each attempt takes the next
-	// candidate.
-	start := int(c.rr.Add(1))
-	cands := make([]*member, len(ready))
-	for i := range ready {
-		cands[i] = ready[(start+i)%len(ready)]
-	}
-	return c.raceQuery(ctx, cands, q)
 }
 
 // raceQuery runs the failover/hedge state machine over an ordered
@@ -727,49 +713,13 @@ func unadopted(rep client.Reply) bool {
 	return rep.Err == "" && !rep.Degraded && rep.Gen == 0
 }
 
-// degradedQuery is the quorum-loss path: distance queries are served as
-// flagged landmark bounds by ANY reachable replica — the landmark
-// estimator is an upper bound on every generation, so a possibly-stale
-// answer is still a true bound and is always explicitly Degraded, never
-// silently wrong. Other query types (paths reference generation-specific
-// structure) fail with ErrNoQuorum.
-func (c *Cluster) degradedQuery(ctx context.Context, q client.Query) (client.Reply, QueryTrace, error) {
-	tr := QueryTrace{Degraded: true}
-	if q.Type != "dist" {
-		return client.Reply{}, tr, fmt.Errorf("%w: %d ready < quorum %d; only dist degrades",
-			ErrNoQuorum, len(c.readyMembers()), c.quorum())
-	}
-	q.AllowDegraded = true
-	members := c.snapshotMembers()
-	start := int(c.rr.Add(1))
-	var lastErr error
-	for i := range members {
-		m := members[(start+i)%len(members)]
-		tr.Attempts++
-		rep, err := m.cl.Query(ctx, q)
-		if err == nil {
-			c.degradedServed.Add(1)
-			tr.Replica = m.url
-			return rep, tr, nil
-		}
-		lastErr = err
-		if i < len(members)-1 {
-			tr.Failovers++
-		}
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return client.Reply{}, tr, fmt.Errorf("%w: degraded fallback exhausted: %v", ErrNoQuorum, lastErr)
-}
-
-// Batch routes a whole batch to one ready replica with failover (batches
+// Batch routes a whole batch to one ready member with failover (batches
 // are not hedged — duplicating hundreds of queries to shave tail latency
-// inverts the economics). Under quorum loss batches fail with ErrNoQuorum;
+// inverts the economics). Below quorum batches fail with ErrNoQuorum;
 // callers needing degraded answers send single dist queries.
 func (c *Cluster) Batch(ctx context.Context, qs []client.Query) ([]client.Reply, error) {
-	ready := c.readyMembers()
-	if len(ready) < c.quorum() {
+	ready, ok := c.quorate()
+	if !ok {
 		return nil, fmt.Errorf("%w: %d ready < quorum %d", ErrNoQuorum, len(ready), c.quorum())
 	}
 	start := int(c.rr.Add(1))
@@ -816,7 +766,8 @@ type MemberStatus struct {
 	LastErr    string `json:"lastErr,omitempty"`
 }
 
-// Status is a point-in-time view of the cluster.
+// Status is a point-in-time view of one replica group; Degraded is the
+// Router's quorum-loss count, filled only in the unpartitioned view.
 type Status struct {
 	Gen        int64          `json:"gen"`
 	Checksum   int64          `json:"checksum"`
@@ -833,7 +784,7 @@ type Status struct {
 	Catchups   int64          `json:"catchups"`
 }
 
-// Status reports the cluster's current view, members sorted by URL.
+// Status reports the group's current view, members sorted by URL.
 func (c *Cluster) Status() Status {
 	rec, _ := c.currentRecord()
 	st := Status{
@@ -843,7 +794,6 @@ func (c *Cluster) Status() Status {
 		Failovers: c.failovers.Load(),
 		Hedges:    c.hedges.Load(),
 		HedgeWins: c.hedgeWins.Load(),
-		Degraded:  c.degradedServed.Load(),
 		Ejections: c.ejections.Load(),
 		Rejoins:   c.rejoins.Load(),
 		Catchups:  c.catchups.Load(),
@@ -870,20 +820,4 @@ func (c *Cluster) Status() Status {
 	}
 	sort.Slice(st.Members, func(i, j int) bool { return st.Members[i].URL < st.Members[j].URL })
 	return st
-}
-
-// WaitReady blocks until at least want replicas are ready (startup and
-// test helper).
-func (c *Cluster) WaitReady(ctx context.Context, want int) error {
-	for {
-		if st := c.Status(); st.ReadyCount >= want {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			st := c.Status()
-			return fmt.Errorf("clusterserve: %d/%d replicas ready: %v", st.ReadyCount, want, ctx.Err())
-		case <-time.After(c.cfg.ProbeInterval / 4):
-		}
-	}
 }

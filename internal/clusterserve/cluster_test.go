@@ -105,12 +105,11 @@ func TestTwoPhaseAbortRollsBack(t *testing.T) {
 		}
 		urls[i] = reps[i].url
 	}
-	cl := clusterserve.New(clusterserve.Config{
+	cl := newRouter(t, clusterserve.Config{
 		Replicas:      urls,
 		ProbeInterval: 20 * time.Millisecond,
 		Seed:          7,
 	})
-	t.Cleanup(cl.Close)
 	ctx, cancel := ctxWithTimeout(t, 10*time.Second)
 	defer cancel()
 	if err := cl.WaitReady(ctx, 3); err != nil {
@@ -346,7 +345,7 @@ func TestHedgedRequests(t *testing.T) {
 	}
 	slowRep := newFakeReplicaWith(t, art, slow)
 	fastRep := newFakeReplica(t, art)
-	cl := clusterserve.New(clusterserve.Config{
+	cl := newRouter(t, clusterserve.Config{
 		Replicas:      []string{slowRep.url, fastRep.url},
 		ProbeInterval: 20 * time.Millisecond,
 		Hedge:         30 * time.Millisecond,
@@ -354,7 +353,6 @@ func TestHedgedRequests(t *testing.T) {
 		Quorum:        1,
 		Seed:          7,
 	})
-	t.Cleanup(cl.Close)
 	ctx, cancel := ctxWithTimeout(t, 30*time.Second)
 	defer cancel()
 	if err := cl.WaitReady(ctx, 2); err != nil {

@@ -278,9 +278,20 @@ func (f *fakeReplica) rebind() net.Listener {
 	return ln
 }
 
+// newRouter builds the coordinator over cfg and stops it at cleanup.
+func newRouter(t *testing.T, cfg clusterserve.Config) *clusterserve.Router {
+	t.Helper()
+	rt, err := clusterserve.NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return rt
+}
+
 // testCluster spins up n fake replicas on one artifact plus a router with
 // fast probe cadence, and waits for all replicas to be routed.
-func testCluster(t *testing.T, n int, art *artifact.Artifact, tweak func(*clusterserve.Config)) (*clusterserve.Cluster, []*fakeReplica) {
+func testCluster(t *testing.T, n int, art *artifact.Artifact, tweak func(*clusterserve.Config)) (*clusterserve.Router, []*fakeReplica) {
 	t.Helper()
 	reps := make([]*fakeReplica, n)
 	urls := make([]string, n)
@@ -298,8 +309,7 @@ func testCluster(t *testing.T, n int, art *artifact.Artifact, tweak func(*cluste
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	cl := clusterserve.New(cfg)
-	t.Cleanup(cl.Close)
+	cl := newRouter(t, cfg)
 	ctx, cancel := ctxWithTimeout(t, 10*time.Second)
 	defer cancel()
 	if err := cl.WaitReady(ctx, n); err != nil {

@@ -1,6 +1,7 @@
 package clusterserve_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -59,10 +60,18 @@ func savePartitionDir(t testing.TB, dir string, art *artifact.Artifact, k int, s
 	return mapPath, res
 }
 
+// partRouter is the router as these tests drive it: Status is the
+// partitioned view, and WaitQuorate waits for every group.
+type partRouter struct{ *clusterserve.Router }
+
+func (p partRouter) Status() clusterserve.PartitionedStatus { return p.PartitionedStatus() }
+
+func (p partRouter) WaitQuorate(ctx context.Context, want int) error { return p.WaitReady(ctx, want) }
+
 // testPartitioned builds a K-partition split of art served by perGroup
-// fake replicas per partition behind a PartitionedCluster, and waits until
+// fake replicas per partition behind a partitioned router, and waits until
 // every group is quorate with all its members.
-func testPartitioned(t *testing.T, art *artifact.Artifact, k, perGroup int) (*clusterserve.PartitionedCluster, [][]*fakeReplica, *partition.Result, string) {
+func testPartitioned(t *testing.T, art *artifact.Artifact, k, perGroup int) (partRouter, [][]*fakeReplica, *partition.Result, string) {
 	t.Helper()
 	mapPath, res := savePartitionDir(t, t.TempDir(), art, k, 11)
 	reps := make([][]*fakeReplica, k)
@@ -74,20 +83,14 @@ func testPartitioned(t *testing.T, art *artifact.Artifact, k, perGroup int) (*cl
 			urls = append(urls, reps[i][j].url)
 		}
 	}
-	pc, err := clusterserve.NewPartitioned(clusterserve.PartitionedConfig{
-		MapPath:  mapPath,
-		Replicas: urls,
-		Base: clusterserve.Config{
-			ProbeInterval: 20 * time.Millisecond,
-			ProbeTimeout:  time.Second,
-			QueryTimeout:  2 * time.Second,
-			Seed:          7,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pc.Close)
+	pc := partRouter{newRouter(t, clusterserve.Config{
+		MapPath:       mapPath,
+		Replicas:      urls,
+		ProbeInterval: 20 * time.Millisecond,
+		ProbeTimeout:  time.Second,
+		QueryTimeout:  2 * time.Second,
+		Seed:          7,
+	})}
 	ctx, cancel := ctxWithTimeout(t, 15*time.Second)
 	defer cancel()
 	if err := pc.WaitQuorate(ctx, perGroup); err != nil {
@@ -411,19 +414,13 @@ func TestComposedSwapAborts(t *testing.T) {
 		reps = append(reps, f)
 		urls = append(urls, f.url)
 	}
-	pc, err := clusterserve.NewPartitioned(clusterserve.PartitionedConfig{
-		MapPath:  mapPath,
-		Replicas: urls,
-		Base: clusterserve.Config{
-			ProbeInterval: 20 * time.Millisecond,
-			QueryTimeout:  2 * time.Second,
-			Seed:          7,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pc.Close)
+	pc := partRouter{newRouter(t, clusterserve.Config{
+		MapPath:       mapPath,
+		Replicas:      urls,
+		ProbeInterval: 20 * time.Millisecond,
+		QueryTimeout:  2 * time.Second,
+		Seed:          7,
+	})}
 	ctx, cancel := ctxWithTimeout(t, 30*time.Second)
 	defer cancel()
 	if err := pc.WaitQuorate(ctx, 1); err != nil {
@@ -504,19 +501,13 @@ func TestPartitionedAssignment(t *testing.T) {
 	whole := newFakeReplica(t, art)
 	urls = append(urls, stray.url, whole.url)
 
-	pc, err := clusterserve.NewPartitioned(clusterserve.PartitionedConfig{
-		MapPath:  mapPath,
-		Replicas: urls,
-		Base: clusterserve.Config{
-			ProbeInterval: 20 * time.Millisecond,
-			QueryTimeout:  2 * time.Second,
-			Seed:          7,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pc.Close)
+	pc := partRouter{newRouter(t, clusterserve.Config{
+		MapPath:       mapPath,
+		Replicas:      urls,
+		ProbeInterval: 20 * time.Millisecond,
+		QueryTimeout:  2 * time.Second,
+		Seed:          7,
+	})}
 	ctx, cancel := ctxWithTimeout(t, 30*time.Second)
 	defer cancel()
 	if err := pc.WaitQuorate(ctx, 1); err != nil {

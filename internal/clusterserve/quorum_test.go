@@ -11,7 +11,7 @@ import (
 
 // waitReadyCount polls until the cluster reports exactly want ready
 // members (prober cadence is 20ms in tests).
-func waitReadyCount(t *testing.T, cl *clusterserve.Cluster, want int) {
+func waitReadyCount(t *testing.T, cl *clusterserve.Router, want int) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for cl.Status().ReadyCount != want {
