@@ -64,12 +64,18 @@ faultcheck:
 
 # The serving-layer gate: artifact codec, query engine and daemon tests
 # under the race detector, the root round-trip/hot-swap integration tests,
-# and the unraced zero-allocation bar on Engine.Query.
+# the flat oracle/routing tables and the delta patch against their map-based
+# references, and the unraced zero-allocation bars on Engine.Query,
+# oracle.Query and routing.NextHop.
 serve:
-	$(GO) vet ./internal/artifact/... ./internal/serve/... ./cmd/spannerd/...
+	$(GO) vet ./internal/artifact/... ./internal/serve/... ./cmd/spannerd/... \
+		./internal/oracle/... ./internal/routing/... ./internal/flatmap/...
 	$(GO) test -race ./internal/artifact/... ./internal/serve/... ./cmd/spannerd/...
 	$(GO) test -run 'Serve|Artifact' -race .
-	$(GO) test -run ZeroAlloc -count=1 ./internal/serve
+	$(GO) test -race -count=1 ./internal/flatmap/
+	$(GO) test -run 'MatchesMapReference|DecodeNumberingMatchesReference' -race -count=1 \
+		./internal/oracle/ ./internal/routing/ ./internal/artifact/
+	$(GO) test -run ZeroAlloc -count=1 ./internal/serve ./internal/oracle ./internal/routing
 
 # The dynamic-updates gate: maintainer, update-stream/log and delta-codec
 # tests under the race detector (including the delta-apply/LRU-eviction

@@ -1168,6 +1168,58 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
+// Generation change on an applied base: the second delta of a chain is
+// applied to the first delta's output, whose checksum nothing has computed
+// yet, so every iteration pays for it — the generation change every
+// /update after the first one makes. The first apply runs off the clock.
+func BenchmarkDeltaApplyChain(b *testing.B) {
+	g, s := generationWorkload(b)
+	base, err := BuildArtifact(g, s, "baswana-sen", 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewDynamicMaintainer(g, s, DynamicConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream, err := GenerateUpdateStream(g, UpdateStreamConfig{Seed: 2, Batches: 2, BatchSize: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var deltas []*ArtifactDelta
+	prev := base
+	for _, bt := range stream {
+		if _, err := m.ApplyBatch(bt); err != nil {
+			b.Fatal(err)
+		}
+		next, err := BuildArtifact(m.Graph(), m.Spanner().Clone(), "baswana-sen", 3, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := DiffArtifacts(prev, next)
+		if err != nil {
+			b.Fatal(err)
+		}
+		deltas = append(deltas, d)
+		prev = next
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		mid, err := deltas[0].Apply(base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		a, err := deltas[1].Apply(mid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkArt = a
+	}
+}
+
 var sinkMaintainer *DynamicMaintainer
 
 // Maintainer construction at servebench's shape: G(n,p) at n=5000 with

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -116,7 +117,28 @@ type proc struct {
 	bin  string
 	args []string
 	mu   sync.Mutex
-	cmd  *exec.Cmd
+	cur  *procRun
+}
+
+// procRun is one start of a proc. done closes once the process has exited and
+// its output is drained; err and stderr are final from then on.
+type procRun struct {
+	cmd    *exec.Cmd
+	done   chan struct{}
+	err    error
+	stderr tailBuffer
+}
+
+// tailBuffer keeps the last bytes written to it.
+type tailBuffer struct{ b []byte }
+
+func (tb *tailBuffer) Write(p []byte) (int, error) {
+	const keep = 4 << 10
+	tb.b = append(tb.b, p...)
+	if len(tb.b) > keep {
+		tb.b = tb.b[len(tb.b)-keep:]
+	}
+	return len(p), nil
 }
 
 func startProc(t *testing.T, bin string, args ...string) *proc {
@@ -128,27 +150,50 @@ func startProc(t *testing.T, bin string, args ...string) *proc {
 
 func (p *proc) start() {
 	p.t.Helper()
-	cmd := exec.Command(p.bin, p.args...)
-	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-	if err := cmd.Start(); err != nil {
+	r := &procRun{cmd: exec.Command(p.bin, p.args...), done: make(chan struct{})}
+	r.cmd.Stdout = os.Stderr
+	r.cmd.Stderr = io.MultiWriter(os.Stderr, &r.stderr)
+	if err := r.cmd.Start(); err != nil {
 		p.t.Fatalf("starting %s: %v", p.bin, err)
 	}
+	go func() {
+		r.err = r.cmd.Wait()
+		close(r.done)
+	}()
 	p.mu.Lock()
-	p.cmd = cmd
+	p.cur = r
 	p.mu.Unlock()
 }
 
 // kill SIGKILLs the process — no drain, no goodbye, like a crashed node.
 func (p *proc) kill() {
 	p.mu.Lock()
-	cmd := p.cmd
-	p.cmd = nil
+	r := p.cur
+	p.cur = nil
 	p.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
+	if r == nil {
 		return
 	}
-	cmd.Process.Signal(syscall.SIGKILL)
-	cmd.Wait()
+	r.cmd.Process.Signal(syscall.SIGKILL)
+	<-r.done
+}
+
+// exited reports how the running process ended when it has exited without
+// being killed — say, on a port another process took — naming its exit
+// status and the end of its stderr; nil while it runs.
+func (p *proc) exited() error {
+	p.mu.Lock()
+	r := p.cur
+	p.mu.Unlock()
+	if r == nil {
+		return nil
+	}
+	select {
+	case <-r.done:
+		return fmt.Errorf("%s exited (%v); its stderr ends:\n%s", filepath.Base(p.bin), r.err, r.stderr.b)
+	default:
+		return nil
+	}
 }
 
 func (p *proc) restart() {
@@ -228,9 +273,12 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() error) {
 // waitConverged waits until the router reports: committed generation gen,
 // n ready members, and every member at exactly (gen, checksum) — the
 // no-divergence invariant.
-func waitConverged(t *testing.T, routerURL string, n int, gen, checksum int64) {
+func waitConverged(t *testing.T, router *proc, routerURL string, n int, gen, checksum int64) {
 	t.Helper()
 	waitFor(t, 30*time.Second, fmt.Sprintf("convergence at gen %d", gen), func() error {
+		if err := router.exited(); err != nil {
+			t.Fatalf("router gone while waiting for convergence at gen %d: %v", gen, err)
+		}
 		var st clusterStatus
 		if _, err := getJSON(routerURL+"/statusz", &st); err != nil {
 			return err
@@ -293,13 +341,13 @@ func TestNodeKillChaos(t *testing.T) {
 	}
 	routerAddr := freeAddr(t)
 	routerURL := "http://" + routerAddr
-	startProc(t, routerBin,
+	router := startProc(t, routerBin,
 		"-addr", routerAddr,
 		"-replicas", repURLs[0]+","+repURLs[1]+","+repURLs[2],
 		"-probe-interval", "50ms", "-probe-timeout", "2s",
 		"-query-timeout", "5s")
 
-	waitConverged(t, routerURL, n, 1, art1.Checksum())
+	waitConverged(t, router, routerURL, n, 1, art1.Checksum())
 
 	// Sustained load: workers hammer dist queries through the router for
 	// the whole suite; every non-degraded success must match the oracle
@@ -398,7 +446,7 @@ func TestNodeKillChaos(t *testing.T) {
 	// The victim restarts from its boot artifact (gen-1 state) and must
 	// be caught up to gen 2 by artifact replay before it is routed again.
 	reps[1].restart()
-	waitConverged(t, routerURL, n, 2, art2.Checksum())
+	waitConverged(t, router, routerURL, n, 2, art2.Checksum())
 	checkLoad()
 
 	// --- Phase B: SIGKILL a different replica mid-/update (delta). ---
@@ -435,7 +483,7 @@ func TestNodeKillChaos(t *testing.T) {
 	// The victim reboots at gen-1 state; catch-up must replay the full
 	// g2 artifact and then the g2→g3 delta.
 	reps[2].restart()
-	waitConverged(t, routerURL, n, 3, art3.Checksum())
+	waitConverged(t, router, routerURL, n, 3, art3.Checksum())
 	checkLoad()
 
 	// --- Phase C: quorum loss degrades, does not 503. ---
@@ -472,7 +520,7 @@ func TestNodeKillChaos(t *testing.T) {
 	// the committed generation.
 	reps[0].restart()
 	reps[1].restart()
-	waitConverged(t, routerURL, n, 3, art3.Checksum())
+	waitConverged(t, router, routerURL, n, 3, art3.Checksum())
 
 	close(stopLoad)
 	loadWG.Wait()

@@ -105,10 +105,15 @@ func writeSplit(t *testing.T, art *artifact.Artifact, k int, seed int64, dir str
 
 // waitPartConverged waits until the partitioned router reports composed
 // generation gen with every group quorate at that generation and every
-// member's checksum matching the split's pinned part checksum.
-func waitPartConverged(t *testing.T, routerURL string, membersPerGroup int, gen int64, res *partition.Result) {
+// member's checksum matching the split's pinned part checksum. It fails at
+// once, naming the router's exit and stderr, when the router process is
+// gone: polling its port then reaches whatever process took it.
+func waitPartConverged(t *testing.T, router *proc, routerURL string, membersPerGroup int, gen int64, res *partition.Result) {
 	t.Helper()
 	waitFor(t, 45*time.Second, fmt.Sprintf("composed convergence at gen %d", gen), func() error {
+		if err := router.exited(); err != nil {
+			t.Fatalf("router gone while waiting for composed convergence at gen %d: %v", gen, err)
+		}
 		var st partStatus
 		if _, err := getJSON(routerURL+"/statusz", &st); err != nil {
 			return err
@@ -181,14 +186,14 @@ func TestPartitionedNodeKillChaos(t *testing.T) {
 	}
 	routerAddr := freeAddr(t)
 	routerURL := "http://" + routerAddr
-	startProc(t, routerBin,
+	router := startProc(t, routerBin,
 		"-addr", routerAddr,
 		"-partition-map", map1,
 		"-replicas", strings.Join(urls, ","),
 		"-probe-interval", "50ms", "-probe-timeout", "2s",
 		"-query-timeout", "5s")
 
-	waitPartConverged(t, routerURL, perGroup, 1, res1)
+	waitPartConverged(t, router, routerURL, perGroup, 1, res1)
 
 	// Monitor: the composed generation must only move forward. A backwards
 	// step would mean a partially committed composed generation became
@@ -410,7 +415,7 @@ func TestPartitionedNodeKillChaos(t *testing.T) {
 			return nil
 		})
 	}
-	waitPartConverged(t, routerURL, perGroup, 2, res2)
+	waitPartConverged(t, router, routerURL, perGroup, 2, res2)
 	checkLoad()
 
 	// --- Phase B: partition member loss under load. ---
@@ -471,7 +476,7 @@ func TestPartitionedNodeKillChaos(t *testing.T) {
 	// The victim returns; the cluster converges back to full strength at
 	// the committed split.
 	procs[0][0].restart()
-	waitPartConverged(t, routerURL, perGroup, 2, res2)
+	waitPartConverged(t, router, routerURL, perGroup, 2, res2)
 
 	close(stopLoad)
 	loadWG.Wait()

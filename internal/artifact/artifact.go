@@ -84,56 +84,124 @@ func Build(g *graph.Graph, spanner *graph.EdgeSet, algo string, k int, seed int6
 	return &Artifact{Algo: algo, Seed: seed, K: k, Graph: g, Spanner: spanner, Oracle: orc, Routing: rt}, nil
 }
 
+// fnvOffset is the FNV-1a offset basis, the hash of no bytes.
+const fnvOffset uint64 = 1469598103934665603
+
+// fnvFold continues FNV-1a hash h over the little-endian bytes of words.
+func fnvFold(h uint64, words []int64) uint64 {
+	const prime = 1099511628211
+	for _, w := range words {
+		x := uint64(w)
+		h = (h ^ x&0xff) * prime
+		h = (h ^ x>>8&0xff) * prime
+		h = (h ^ x>>16&0xff) * prime
+		h = (h ^ x>>24&0xff) * prime
+		h = (h ^ x>>32&0xff) * prime
+		h = (h ^ x>>40&0xff) * prime
+		h = (h ^ x>>48&0xff) * prime
+		h = (h ^ x>>56) * prime
+	}
+	return h
+}
+
 // fnvWords folds FNV-1a over a word slice — the same integrity footer the
 // reliable wire format and the distsim checkpoints use.
-func fnvWords(words []int64) int64 {
-	h := uint64(1469598103934665603)
-	for _, w := range words {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= uint64(byte(uint64(w) >> shift))
-			h *= 1099511628211
-		}
+func fnvWords(words []int64) int64 { return int64(fnvFold(fnvOffset, words)) }
+
+// fnvBytes folds FNV-1a over bytes: the fnvWords of the words they encode.
+func fnvBytes(data []byte) int64 {
+	h := fnvOffset
+	for _, b := range data {
+		h = (h ^ uint64(b)) * 1099511628211
 	}
 	return int64(h)
 }
 
-// Words serializes the artifact to its word stream (without the checksum
-// footer Marshal appends).
-func (a *Artifact) Words() []int64 {
-	ow := a.Oracle.Words()
-	rw := a.Routing.Words()
+// wordLen returns the length of the artifact's word stream.
+func (a *Artifact) wordLen() int {
+	return 10 + len(a.Algo) + a.Graph.M() + a.Spanner.Len() + a.Oracle.WordLen() + a.Routing.WordLen()
+}
+
+// encode streams the artifact's word stream (without the checksum footer)
+// through emit in consecutive chunks; a chunk is only valid during its
+// emit call. The oracle and routing sections stream from their storage,
+// so no caller needs the whole stream in memory.
+func (a *Artifact) encode(emit func([]int64)) {
+	const chunk = 4096
 	n := a.Graph.N()
-	m := a.Graph.M()
-	w := make([]int64, 0, 10+len(a.Algo)+m+a.Spanner.Len()+len(ow)+len(rw))
+	w := make([]int64, 0, chunk)
 	w = append(w, magic, version, a.Seed, int64(a.K), int64(len(a.Algo)))
 	for i := 0; i < len(a.Algo); i++ {
 		w = append(w, int64(a.Algo[i]))
 	}
-	w = append(w, int64(n), int64(m))
-	a.Graph.ForEachEdge(func(u, v int32) { w = append(w, graph.EdgeKey(u, v)) })
+	w = append(w, int64(n), int64(a.Graph.M()))
+	for u := int32(0); int(u) < n; u++ {
+		for _, v := range a.Graph.Neighbors(u) {
+			if u < v {
+				w = append(w, graph.EdgeKey(u, v))
+			}
+		}
+		if len(w) >= chunk {
+			emit(w)
+			w = w[:0]
+		}
+	}
 	spk := a.Spanner.Keys()
 	slices.Sort(spk)
 	w = append(w, int64(len(spk)))
-	w = append(w, spk...)
-	w = append(w, int64(len(ow)))
-	w = append(w, ow...)
-	w = append(w, int64(len(rw)))
-	w = append(w, rw...)
+	emit(w)
+	emit(spk)
+	emit([]int64{int64(a.Oracle.WordLen())})
+	a.Oracle.EncodeWords(emit)
+	emit([]int64{int64(a.Routing.WordLen())})
+	a.Routing.EncodeWords(emit)
+}
+
+// Words serializes the artifact to its word stream (without the checksum
+// footer Marshal appends).
+func (a *Artifact) Words() []int64 { return streamWords(a.wordLen(), a.encode) }
+
+// Marshal renders the artifact as its on-disk bytes: the word stream plus
+// FNV footer, little-endian. The footer is the memoized Checksum, folded
+// here as the stream is written when nothing has asked for it yet.
+func (a *Artifact) Marshal() []byte {
+	var buf []byte
+	a.sum.once.Do(func() { buf, a.sum.v = streamBytes(a.wordLen(), a.encode, true) })
+	if buf == nil {
+		buf, _ = streamBytes(a.wordLen(), a.encode, false)
+	}
+	return binary.LittleEndian.AppendUint64(buf, uint64(a.sum.v))
+}
+
+// streamWords collects the stream encode emits; size is its length.
+func streamWords(size int, encode func(emit func([]int64))) []int64 {
+	w := make([]int64, 0, size)
+	encode(func(chunk []int64) { w = append(w, chunk...) })
 	return w
 }
 
-// Marshal renders the artifact as its on-disk bytes: the word stream plus
-// FNV footer, little-endian. The footer is the memoized Checksum, computed
-// here over the stream when nothing has asked for it yet.
-func (a *Artifact) Marshal() []byte {
-	words := a.Words()
-	a.sum.once.Do(func() { a.sum.v = fnvWords(words) })
-	words = append(words, a.sum.v)
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
+// streamSum folds FNV-1a over the stream encode emits.
+func streamSum(encode func(emit func([]int64))) int64 {
+	h := fnvOffset
+	encode(func(chunk []int64) { h = fnvFold(h, chunk) })
+	return int64(h)
+}
+
+// streamBytes renders the stream encode emits, of size words, as
+// little-endian bytes with room for a footer word, folding FNV-1a over it
+// when fold is set.
+func streamBytes(size int, encode func(emit func([]int64)), fold bool) ([]byte, int64) {
+	buf := make([]byte, 0, 8*(size+1))
+	h := fnvOffset
+	encode(func(chunk []int64) {
+		if fold {
+			h = fnvFold(h, chunk)
+		}
+		for _, w := range chunk {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
+		}
+	})
+	return buf, int64(h)
 }
 
 // reader consumes the artifact word stream with bounds checking.
@@ -200,7 +268,7 @@ func Unmarshal(data []byte) (*Artifact, error) {
 	if body[1] != version {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], version)
 	}
-	if fnvWords(body) != sum {
+	if fnvBytes(data[:len(data)-8]) != sum {
 		return nil, ErrChecksum
 	}
 	r := &reader{buf: body, pos: 2}

@@ -71,7 +71,7 @@ func (d *Delta) Updates() int {
 // per artifact (Unmarshal stamps it from the footer it verified), so an
 // artifact must not be mutated once built or decoded.
 func (a *Artifact) Checksum() int64 {
-	a.sum.once.Do(func() { a.sum.v = fnvWords(a.Words()) })
+	a.sum.once.Do(func() { a.sum.v = streamSum(a.encode) })
 	return a.sum.v
 }
 
@@ -150,28 +150,14 @@ func (d *Delta) Apply(base *Artifact) (*Artifact, error) {
 		return nil, fmt.Errorf("%w: base has %#x, delta wants %#x", ErrBaseMismatch, uint64(got), uint64(d.BaseSum))
 	}
 	n := base.Graph.N()
-	edges := graph.NewEdgeSet(base.Graph.M())
-	base.Graph.ForEachEdge(func(u, v int32) { edges.Add(u, v) })
+	edges := make([]int64, 0, base.Graph.M())
+	base.Graph.ForEachEdge(func(u, v int32) { edges = append(edges, graph.EdgeKey(u, v)) })
 	span := base.Spanner.Clone()
 	for si := range d.Segments {
 		seg := &d.Segments[si]
-		for _, k := range seg.GraphAdd {
-			if err := checkKey(k, n, si, "graph add"); err != nil {
-				return nil, err
-			}
-			if edges.HasKey(k) {
-				return nil, fmt.Errorf("%w: segment %d adds existing graph edge %d", ErrCorrupt, si, k)
-			}
-			edges.AddKey(k)
-		}
-		for _, k := range seg.GraphDel {
-			if err := checkKey(k, n, si, "graph del"); err != nil {
-				return nil, err
-			}
-			if !edges.HasKey(k) {
-				return nil, fmt.Errorf("%w: segment %d deletes absent graph edge %d", ErrCorrupt, si, k)
-			}
-			edges.RemoveKey(k)
+		var err error
+		if edges, err = patchGraph(edges, seg, n, si); err != nil {
+			return nil, err
 		}
 		for _, k := range seg.SpanAdd {
 			if err := checkKey(k, n, si, "spanner add"); err != nil {
@@ -192,7 +178,7 @@ func (d *Delta) Apply(base *Artifact) (*Artifact, error) {
 			span.RemoveKey(k)
 		}
 	}
-	g := edges.ToGraph(n)
+	g := graph.FromKeys(n, edges)
 	if !span.Subset(g) {
 		return nil, fmt.Errorf("%w: patched spanner has edges outside the patched graph", ErrCorrupt)
 	}
@@ -205,6 +191,56 @@ func (d *Delta) Apply(base *Artifact) (*Artifact, error) {
 		return nil, fmt.Errorf("artifact: rebuild routing after delta: %w", err)
 	}
 	return &Artifact{Algo: base.Algo, Seed: base.Seed, K: base.K, Graph: g, Spanner: span, Oracle: orc, Routing: rt}, nil
+}
+
+// patchGraph applies one segment's graph adds, then its deletes, to the
+// ascending edge keys and returns the patched keys, still ascending. Each
+// list is merged against the keys in one pass; keys are checked in list
+// order, so the first bad key is the one a key-by-key patch would report.
+// A list that is not ascending is merged in sorted order.
+func patchGraph(edges []int64, seg *DeltaSegment, n, si int) ([]int64, error) {
+	add, del := seg.GraphAdd, seg.GraphDel
+	if !slices.IsSorted(add) {
+		add = slices.Clone(add)
+		slices.Sort(add)
+	}
+	if !slices.IsSorted(del) {
+		del = slices.Clone(del)
+		slices.Sort(del)
+	}
+	out := make([]int64, 0, len(edges)+len(add))
+	i := 0
+	for _, k := range add {
+		if err := checkKey(k, n, si, "graph add"); err != nil {
+			return nil, err
+		}
+		for i < len(edges) && edges[i] < k {
+			out = append(out, edges[i])
+			i++
+		}
+		if i < len(edges) && edges[i] == k || len(out) > 0 && out[len(out)-1] == k {
+			return nil, fmt.Errorf("%w: segment %d adds existing graph edge %d", ErrCorrupt, si, k)
+		}
+		out = append(out, k)
+	}
+	out = append(out, edges[i:]...)
+	// Deletes compact out in place: the write cursor never passes the read
+	// cursor.
+	kept, i := out[:0], 0
+	for _, k := range del {
+		if err := checkKey(k, n, si, "graph del"); err != nil {
+			return nil, err
+		}
+		for i < len(out) && out[i] < k {
+			kept = append(kept, out[i])
+			i++
+		}
+		if i == len(out) || out[i] != k {
+			return nil, fmt.Errorf("%w: segment %d deletes absent graph edge %d", ErrCorrupt, si, k)
+		}
+		i++
+	}
+	return append(kept, out[i:]...), nil
 }
 
 func checkKey(k int64, n, seg int, what string) error {

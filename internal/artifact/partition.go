@@ -102,33 +102,43 @@ func appendVertexList(w []int64, set []bool) []int64 {
 	return w
 }
 
-// Words serializes the part to its word stream (without the checksum
-// footer Marshal appends).
-func (p *Part) Words() []int64 {
-	aw := p.Art.Words()
-	w := make([]int64, 0, 8+len(p.Owned)+len(aw))
-	w = append(w, partMagic, partVersion, p.SplitID, int64(p.ID), int64(p.K))
+// encode streams the part's word stream (without the checksum footer)
+// through emit: its header and vertex sets, then the embedded artifact's
+// stream.
+func (p *Part) encode(emit func([]int64)) {
+	w := []int64{partMagic, partVersion, p.SplitID, int64(p.ID), int64(p.K)}
 	w = appendVertexList(w, p.Owned)
 	w = appendVertexList(w, p.Boundary)
-	w = append(w, int64(len(aw)))
-	w = append(w, aw...)
-	return w
+	emit(append(w, int64(p.Art.wordLen())))
+	p.Art.encode(emit)
 }
+
+// wordLen returns the length of the part's word stream.
+func (p *Part) wordLen() int {
+	cnt := 0
+	for _, set := range [][]bool{p.Owned, p.Boundary} {
+		for _, in := range set {
+			if in {
+				cnt++
+			}
+		}
+	}
+	return 8 + cnt + p.Art.wordLen()
+}
+
+// Words serializes the part to its word stream (without the checksum
+// footer Marshal appends).
+func (p *Part) Words() []int64 { return streamWords(p.wordLen(), p.encode) }
 
 // Checksum returns the FNV fold of the part's word stream — the value the
 // partition map pins and replicas report as their generation checksum.
-func (p *Part) Checksum() int64 { return fnvWords(p.Words()) }
+func (p *Part) Checksum() int64 { return streamSum(p.encode) }
 
 // Marshal renders the part as its on-disk bytes: word stream plus FNV
 // footer, little-endian.
 func (p *Part) Marshal() []byte {
-	words := p.Words()
-	words = append(words, fnvWords(words))
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
+	buf, sum := streamBytes(p.wordLen(), p.encode, true)
+	return binary.LittleEndian.AppendUint64(buf, uint64(sum))
 }
 
 // decodeWords converts little-endian bytes to words and peels the FNV

@@ -415,13 +415,28 @@ func (m *Maintainer) initWitnesses() error {
 	if bad > 0 {
 		return fmt.Errorf("%w: %d edges stretched past %d", ErrInvalidSpanner, bad, m.bound)
 	}
+	// Count each spanner edge's uses first, so every inner set is made at
+	// its final size and none grows while the paths are filed.
+	uses := make(map[int64]int, m.spanner.Len())
+	for _, r := range res {
+		for _, sk := range r.flat {
+			uses[sk]++
+		}
+	}
+	m.usedBy = make(map[int64]map[int64]struct{}, len(uses))
+	for sk, c := range uses {
+		m.usedBy[sk] = make(map[int64]struct{}, c)
+	}
 	m.witness = make(map[int64][]int64, m.edges.Len())
-	m.usedBy = make(map[int64]map[int64]struct{}, m.spanner.Len())
 	for _, r := range res {
 		lo := int32(0)
 		for j, gk := range r.keys {
 			hi := r.ends[j]
-			m.setWitness(gk, r.flat[lo:hi:hi])
+			path := r.flat[lo:hi:hi]
+			m.witness[gk] = path
+			for _, sk := range path {
+				m.usedBy[sk][gk] = struct{}{}
+			}
 			lo = hi
 		}
 	}

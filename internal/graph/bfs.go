@@ -116,11 +116,22 @@ func (g *Graph) MultiSourceBFS(sources []int32) (dist, nearest, parent []int32) 
 // is allowed. It returns the reached vertices so callers can cheaply reset
 // shared scratch state.
 func (g *Graph) TruncatedBFS(src int32, radius int32, dist []int32, visit func(v, d int32)) []int32 {
+	return g.truncatedBFS(src, radius, dist, visit, nil)
+}
+
+// TruncatedBFSInto is TruncatedBFS without a visit callback, returning the
+// reached vertices in reached's storage so repeated searches reuse one
+// slice.
+func (g *Graph) TruncatedBFSInto(src int32, radius int32, dist, reached []int32) []int32 {
+	return g.truncatedBFS(src, radius, dist, nil, reached)
+}
+
+func (g *Graph) truncatedBFS(src int32, radius int32, dist []int32, visit func(v, d int32), reached []int32) []int32 {
 	if dist[src] != Unreachable {
 		panic("graph: TruncatedBFS scratch dist not reset")
 	}
 	dist[src] = 0
-	reached := []int32{src}
+	reached = append(reached[:0], src)
 	if visit != nil {
 		visit(src, 0)
 	}

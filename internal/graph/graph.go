@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -123,43 +124,37 @@ func (b *Builder) NumAdded() int { return len(b.edges) }
 // Build produces the immutable graph. The builder may be reused afterwards;
 // further AddEdge calls affect only subsequent Build calls.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool { return b.edges[i] < b.edges[j] })
-	uniq := b.edges[:0:len(b.edges)]
-	var prev int64 = -1
-	for _, e := range b.edges {
-		if e != prev {
-			uniq = append(uniq, e)
-			prev = e
-		}
-	}
-	deg := make([]int32, b.n+1)
-	for _, e := range uniq {
+	slices.Sort(b.edges)
+	b.edges = slices.Compact(b.edges)
+	return FromKeys(b.n, b.edges)
+}
+
+// FromKeys builds a graph on n vertices from canonical edge keys (see
+// EdgeKey) in strictly increasing order, all with endpoints in [0,n). Filling
+// the lists in key order leaves each one sorted: v's lower neighbours u
+// arrive with the keys (u,v) in ascending u, all before v's own keys (v,w)
+// in ascending w. keys is not retained.
+func FromKeys(n int, keys []int64) *Graph {
+	off := make([]int32, n+1)
+	for _, e := range keys {
 		u, v := UnpackEdgeKey(e)
-		deg[u+1]++
-		deg[v+1]++
+		off[u+1]++
+		off[v+1]++
 	}
-	for i := 1; i <= b.n; i++ {
-		deg[i] += deg[i-1]
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
 	}
-	adj := make([]int32, 2*len(uniq))
-	next := make([]int32, b.n)
-	copy(next, deg[:b.n])
-	for _, e := range uniq {
+	adj := make([]int32, 2*len(keys))
+	next := make([]int32, n)
+	copy(next, off[:n])
+	for _, e := range keys {
 		u, v := UnpackEdgeKey(e)
 		adj[next[u]] = v
 		next[u]++
 		adj[next[v]] = u
 		next[v]++
 	}
-	g := &Graph{off: deg, adj: adj}
-	// Per-vertex lists must be sorted for HasEdge's binary search. Keys were
-	// sorted by (min,max) so the "u" side is already ordered; the "v" side is
-	// not, hence the per-vertex sort.
-	for v := int32(0); v < int32(b.n); v++ {
-		ns := g.adj[g.off[v]:g.off[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	}
-	return g
+	return &Graph{off: off, adj: adj}
 }
 
 // FromEdges builds a graph on n vertices from an explicit edge list.

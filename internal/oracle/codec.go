@@ -2,15 +2,15 @@ package oracle
 
 import (
 	"fmt"
-	"slices"
 
+	"spanner/internal/flatmap"
 	"spanner/internal/graph"
 )
 
 // Flat word-stream codec for a built oracle, following the conventions of
 // the distsim checkpoints and the reliable-transport wire format: every
-// structure is a length-prefixed int64 stream, map contents are emitted in
-// sorted key order so the stream is deterministic, and decoding is
+// structure is a length-prefixed int64 stream, bunches and spanner keys are
+// emitted in ascending key order so the stream is deterministic, and decoding is
 // bounds-checked so corrupt input returns an error instead of panicking.
 // Decoding is canonical: it accepts only streams Words could have written
 // (bunch and spanner keys strictly increasing, every value in range), so a
@@ -21,38 +21,55 @@ import (
 // Words serializes the oracle (everything except the graph) to a flat word
 // stream. Encoding the same oracle twice yields identical streams.
 func (o *Oracle) Words() []int64 {
+	w := make([]int64, 0, o.WordLen())
+	o.EncodeWords(func(chunk []int64) { w = append(w, chunk...) })
+	return w
+}
+
+// WordLen returns the length of the Words stream without building it.
+func (o *Oracle) WordLen() int {
 	n := o.g.N()
-	w := make([]int64, 0, 2+n*(2*o.k+2))
+	return 2 + n + 2*o.k*n + o.bunch.WordLen() + 1 + len(o.spanner)
+}
+
+// encodeChunk is the number of words EncodeWords gathers before handing
+// them on.
+const encodeChunk = 4096
+
+// EncodeWords streams the Words stream through emit in consecutive chunks,
+// reading the bunches and the spanner keys in order from their storage.
+// A chunk is only valid during its emit call.
+func (o *Oracle) EncodeWords(emit func([]int64)) {
+	n := o.g.N()
+	w := make([]int64, 0, encodeChunk)
+	flush := func() {
+		emit(w)
+		w = w[:0]
+	}
 	w = append(w, int64(o.k), int64(n))
 	for _, l := range o.level {
 		w = append(w, int64(l))
+		if len(w) >= encodeChunk {
+			flush()
+		}
 	}
 	for i := 0; i < o.k; i++ {
 		for v := 0; v < n; v++ {
 			w = append(w, int64(o.witness[i][v]), int64(o.distTo[i][v]))
+			if len(w) >= encodeChunk {
+				flush()
+			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		b := o.bunch[v]
-		if b == nil {
-			w = append(w, -1)
-			continue
-		}
-		keys := make([]int32, 0, len(b))
-		for u := range b {
-			keys = append(keys, u)
-		}
-		slices.Sort(keys)
-		w = append(w, int64(len(keys)))
-		for _, u := range keys {
-			w = append(w, int64(u), int64(b[u]))
+	for v := int32(0); int(v) < n; v++ {
+		w = o.bunch.AppendWords(w, v)
+		if len(w) >= encodeChunk {
+			flush()
 		}
 	}
-	spk := o.spanner.Keys()
-	slices.Sort(spk)
-	w = append(w, int64(len(spk)))
-	w = append(w, spk...)
-	return w
+	w = append(w, int64(len(o.spanner)))
+	flush()
+	emit(o.spanner)
 }
 
 // wordReader consumes a codec word stream with bounds checking.
@@ -103,15 +120,7 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 	if n != g.N() {
 		return nil, fmt.Errorf("oracle: stream is for %d vertices, graph has %d", n, g.N())
 	}
-	o := &Oracle{
-		g:       g,
-		k:       k,
-		level:   make([]int8, n),
-		witness: make([][]int32, k),
-		distTo:  make([][]int32, k),
-		bunch:   make([]map[int32]int32, n),
-		spanner: graph.NewEdgeSet(2 * n),
-	}
+	o := newOracle(g, k)
 	for v := 0; v < n; v++ {
 		lvl := r.get()
 		if r.err == nil && (lvl < 0 || int(lvl) >= k) {
@@ -134,6 +143,9 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	// Every bunch entry takes two words and every other bunch one, so the
+	// words left bound the entries.
+	b := flatmap.NewBuilder(n, max(len(words)-r.pos-n, 0)/2)
 	for v := 0; v < n; v++ {
 		c := r.get()
 		if r.err != nil {
@@ -143,23 +155,25 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 			if c != -1 {
 				return nil, fmt.Errorf("oracle: corrupt bunch length %d", c)
 			}
+			b.End(false)
 			continue
 		}
 		if c > int64(len(words)-r.pos)/2 {
 			return nil, fmt.Errorf("oracle: truncated bunch of vertex %d", v)
 		}
-		b := make(map[int32]int32, c)
 		for j, prev := int64(0), int64(-1); j < c; j++ {
 			u, d := r.get(), r.get()
 			if u <= prev || u >= int64(n) || d < 0 || d >= int64(n) {
 				return nil, fmt.Errorf("oracle: bunch entry %d of vertex %d not sorted in range: %d at %d", j, v, u, d)
 			}
 			prev = u
-			b[int32(u)] = int32(d)
+			b.Add(int32(u), int32(d))
 		}
-		o.bunch[v] = b
+		b.End(true)
 	}
+	o.bunch = b.Rows()
 	ne := r.count()
+	o.spanner = make([]int64, ne)
 	for i, prev := 0, int64(-1); i < ne; i++ {
 		key := r.get()
 		u, v := graph.UnpackEdgeKey(key)
@@ -167,7 +181,7 @@ func FromWords(g *graph.Graph, words []int64) (*Oracle, error) {
 			return nil, fmt.Errorf("oracle: spanner edge key %d not sorted canonical in range", key)
 		}
 		prev = key
-		o.spanner.AddKey(key)
+		o.spanner[i] = key
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -2,12 +2,11 @@ package oracle
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 
 	"spanner/internal/distsim"
 	"spanner/internal/faults"
+	"spanner/internal/flatmap"
 	"spanner/internal/graph"
 	"spanner/internal/obs"
 	"spanner/internal/reliable"
@@ -167,53 +166,14 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		return nil, total, nil, fmt.Errorf("oracle: k must be >= 1, got %d", k)
 	}
 	n := g.N()
-	o := &Oracle{
-		g:       g,
-		k:       k,
-		level:   make([]int8, n),
-		witness: make([][]int32, k),
-		distTo:  make([][]int32, k),
-		bunch:   make([]map[int32]int32, n),
-		spanner: graph.NewEdgeSet(2 * n),
-	}
+	o := newOracle(g, k)
 	if n == 0 {
+		o.bunch = flatmap.FromStaged(0, nil)
 		return o, total, nil, nil
 	}
 	// Identical sampling to New (same seed ⇒ same hierarchy).
-	rng := rand.New(rand.NewSource(seed))
-	p := math.Pow(float64(n), -1/float64(k))
-	for v := 0; v < n; v++ {
-		lvl := int8(0)
-		for i := 1; i < k; i++ {
-			if rng.Float64() < p {
-				lvl = int8(i)
-			} else {
-				break
-			}
-		}
-		o.level[v] = lvl
-	}
-	if k > 1 {
-		labels, count := g.ConnectedComponents()
-		hit := make([]bool, count)
-		for v := 0; v < n; v++ {
-			if o.level[v] == int8(k-1) {
-				hit[labels[v]] = true
-			}
-		}
-		for v := 0; v < n; v++ {
-			if !hit[labels[v]] {
-				hit[labels[v]] = true
-				o.level[v] = int8(k - 1)
-			}
-		}
-	}
-	levelSets := make([][]int32, k)
-	for v := int32(0); int(v) < n; v++ {
-		for i := 0; i <= int(o.level[v]); i++ {
-			levelSets[i] = append(levelSets[i], v)
-		}
-	}
+	levelSets := o.sampleLevels(seed)
+	marks := newEdgeMarks(g)
 
 	add := func(m distsim.Metrics) { total.Add(m) }
 
@@ -258,19 +218,22 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		add(res.Metrics)
 		o.distTo[i] = res.Dist
 		o.witness[i] = res.Nearest
-		edgesBefore := o.spanner.Len()
+		added := 0
 		for v := int32(0); int(v) < n; v++ {
-			if res.Dist[v] >= 1 {
-				o.spanner.Add(v, res.Parent[v])
+			if res.Dist[v] >= 1 && !marks.has(v, res.Parent[v]) {
+				marks.add(v, res.Parent[v])
+				added++
 			}
 		}
 		wspan.End(obs.I(obs.AttrRounds, int64(res.Metrics.Rounds)),
 			obs.I(obs.AttrMessages, res.Metrics.Messages),
 			obs.I(obs.AttrWords, res.Metrics.Words),
-			obs.I(obs.AttrEdges, int64(o.spanner.Len()-edgesBefore)))
+			obs.I(obs.AttrEdges, int64(added)))
 	}
 
-	// Cluster floods per level.
+	// Cluster floods per level; each node's tokens are its bunch entries at
+	// that level.
+	var stage []flatmap.Staged
 	for i := 0; i < k; i++ {
 		nodes := make([]tzNode, n)
 		handlers := make([]distsim.Handler, n)
@@ -315,18 +278,13 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		add(m)
 		fspan.End(obs.I(obs.AttrRounds, int64(m.Rounds)),
 			obs.I(obs.AttrMessages, m.Messages), obs.I(obs.AttrWords, m.Words))
-		for v := 0; v < n; v++ {
-			if nodes[v].tokens == nil {
-				continue
-			}
-			if o.bunch[v] == nil {
-				o.bunch[v] = make(map[int32]int32, len(nodes[v].tokens))
-			}
+		for v := int32(0); int(v) < n; v++ {
 			for w, d := range nodes[v].tokens {
-				o.bunch[v][w] = d
+				stage = append(stage, flatmap.Staged{Row: v, Entry: flatmap.Entry{Key: w, Val: d}})
 			}
 		}
 	}
+	o.bunch = flatmap.FromStaged(n, stage)
 
 	// Bunch path edges for the oracle's spanner: retrace each bunch entry
 	// via a neighbor one step closer holding the same token. (Sequentially
@@ -334,23 +292,21 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 	// collected token tables, which the message-passing commit wave of
 	// Sect. 4.4 would do with one round per hop.)
 	for v := int32(0); int(v) < n; v++ {
-		for w, d := range o.bunch[v] {
+		for _, e := range o.bunch.Row(v) {
+			w, d := e.Key, e.Val
 			if d == 0 {
 				continue
 			}
-			for _, y := range g.Neighbors(v) {
-				if dy, ok := o.bunch[y][w]; ok && dy == d-1 {
-					o.spanner.Add(v, y)
-					break
-				}
-				if y == w && d == 1 {
-					o.spanner.Add(v, w)
+			for j, y := range g.Neighbors(v) {
+				if dy, ok := o.bunch.Get(y, w); ok && dy == d-1 || y == w && d == 1 {
+					marks.mark(v, j)
 					break
 				}
 			}
 		}
 	}
-	span.End(obs.I(obs.AttrEdges, int64(o.spanner.Len())),
+	o.spanner = marks.keys()
+	span.End(obs.I(obs.AttrEdges, int64(len(o.spanner))),
 		obs.I(obs.AttrRounds, int64(total.Rounds)),
 		obs.I(obs.AttrMessages, total.Messages),
 		obs.I(obs.AttrWords, total.Words))

@@ -27,13 +27,14 @@ func TestDistributedOracleMatchesSequential(t *testing.T) {
 			if seq.level[v] != dist.level[v] {
 				t.Fatalf("seed %d: levels differ at %d", seed, v)
 			}
-			if len(seq.bunch[v]) != len(dist.bunch[v]) {
+			sb, db := seq.bunch.Row(int32(v)), dist.bunch.Row(int32(v))
+			if len(sb) != len(db) {
 				t.Fatalf("seed %d: bunch sizes differ at %d: %d vs %d",
-					seed, v, len(seq.bunch[v]), len(dist.bunch[v]))
+					seed, v, len(sb), len(db))
 			}
-			for w, d := range seq.bunch[v] {
-				if dd, ok := dist.bunch[v][w]; !ok || dd != d {
-					t.Fatalf("seed %d: bunch entry (%d,%d) differs", seed, v, w)
+			for j, e := range sb {
+				if db[j] != e {
+					t.Fatalf("seed %d: bunch entry (%d,%d) differs", seed, v, e.Key)
 				}
 			}
 		}

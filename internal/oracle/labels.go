@@ -29,14 +29,14 @@ func (o *Oracle) Label(v int32) *Label {
 		V:           v,
 		Witnesses:   make([]int32, o.k),
 		WitnessDist: make([]int32, o.k),
-		Bunch:       make(map[int32]int32, len(o.bunch[v])),
+		Bunch:       make(map[int32]int32, len(o.bunch.Row(v))),
 	}
 	for i := 0; i < o.k; i++ {
 		l.Witnesses[i] = o.witness[i][v]
 		l.WitnessDist[i] = o.distTo[i][v]
 	}
-	for w, d := range o.bunch[v] {
-		l.Bunch[w] = d
+	for _, e := range o.bunch.Row(v) {
+		l.Bunch[e.Key] = e.Val
 	}
 	return l
 }

@@ -32,6 +32,7 @@ import (
 	"math"
 	"math/rand"
 
+	"spanner/internal/flatmap"
 	"spanner/internal/graph"
 )
 
@@ -47,14 +48,16 @@ type Address struct {
 type Scheme struct {
 	g         *graph.Graph
 	landmarks []int32
-	// landmarkIdx maps a landmark vertex to its tree index.
-	landmarkIdx map[int32]int
+	// treeOf[v] is the tree index of landmark v, -1 for other vertices.
+	treeOf []int32
 
-	// trees[t] is landmark t's BFS tree.
+	// trees[t] is landmark t's BFS tree; every tree's arrays are cut from
+	// one slab.
 	trees []tree
 
-	// direct[v] = next hop from v toward each w with v ∈ ball(w).
-	direct []map[int32]int32
+	// Row v of direct maps w to the next hop from v toward w, for each w
+	// with v ∈ ball(w); the row is absent when v lies in no ball.
+	direct *flatmap.Rows
 
 	// addr[v] is v's address.
 	addr []Address
@@ -64,84 +67,117 @@ type Scheme struct {
 type tree struct {
 	// parent[v] = next hop from v toward the landmark.
 	parent []int32
+	// depth[v] = v's distance to the landmark along the tree, which is its
+	// graph distance; graph.Unreachable outside the landmark's component.
+	depth []int32
 	// dfs[v] = DFS index of v; end[v] = largest DFS index in v's subtree.
 	dfs, end []int32
-	// Child lists in CSR form: the children of v are kids[off[v]:off[v+1]],
-	// in ascending vertex order.
-	off, kids []int32
+	// pre[d] is the vertex with DFS index d. v's children, in ascending
+	// vertex order, are pre[dfs[v]+1], then each next one at the index
+	// after the previous one's subtree, up to end[v].
+	pre []int32
+}
+
+// treeWords is the number of int32s one tree takes from the slab: parent,
+// depth, dfs, end and pre at n each.
+func treeWords(n int) int { return 5 * n }
+
+// newScheme returns a scheme over g with its tree arrays allocated from
+// one slab for the given landmarks.
+func newScheme(g *graph.Graph, landmarks []int32) *Scheme {
+	n := g.N()
+	s := &Scheme{
+		g:         g,
+		landmarks: landmarks,
+		treeOf:    make([]int32, n),
+		trees:     make([]tree, len(landmarks)),
+		addr:      make([]Address, n),
+	}
+	for v := range s.treeOf {
+		s.treeOf[v] = -1
+	}
+	slab := make([]int32, len(landmarks)*treeWords(n))
+	cut := func() []int32 {
+		part := slab[:n:n]
+		slab = slab[n:]
+		return part
+	}
+	for i, l := range landmarks {
+		s.treeOf[l] = int32(i)
+		tr := &s.trees[i]
+		tr.parent, tr.depth, tr.dfs, tr.end, tr.pre = cut(), cut(), cut(), cut(), cut()
+	}
+	return s
 }
 
 // New builds the scheme. Expected preprocessing O(√n·m); expected table
 // size Õ(√n) words per vertex.
 func New(g *graph.Graph, seed int64) (*Scheme, error) {
 	n := g.N()
-	s := &Scheme{
-		g:           g,
-		landmarkIdx: make(map[int32]int),
-		direct:      make([]map[int32]int32, n),
-		addr:        make([]Address, n),
-	}
 	if n == 0 {
+		s := newScheme(g, nil)
+		s.direct = flatmap.FromStaged(0, nil)
 		return s, nil
 	}
 	rng := rand.New(rand.NewSource(seed))
 	nf := float64(n)
 	p := math.Sqrt(math.Log(nf)+1) / math.Sqrt(nf)
+	var landmarks []int32
 	for v := 0; v < n; v++ {
 		if rng.Float64() < p {
-			s.landmarks = append(s.landmarks, int32(v))
+			landmarks = append(landmarks, int32(v))
 		}
 	}
 	// Every component needs a landmark (for tree-phase reachability).
 	labels, count := g.ConnectedComponents()
 	hit := make([]bool, count)
-	for _, l := range s.landmarks {
+	for _, l := range landmarks {
 		hit[labels[l]] = true
 	}
 	for v := int32(0); int(v) < n; v++ {
 		if !hit[labels[v]] {
 			hit[labels[v]] = true
-			s.landmarks = append(s.landmarks, v)
+			landmarks = append(landmarks, v)
 		}
 	}
-	for i, l := range s.landmarks {
-		s.landmarkIdx[l] = i
-	}
+	s := newScheme(g, landmarks)
 
 	// δ(·,L) and each vertex's own landmark.
 	distL, nearestL, _ := g.MultiSourceBFS(s.landmarks)
 
-	// Landmark trees with DFS intervals; one dist scratch and queue serve
-	// every tree's BFS.
-	s.trees = make([]tree, len(s.landmarks))
-	dist := make([]int32, n)
+	// Landmark trees with DFS intervals: each tree's BFS writes its depth
+	// row and hands its queue order to the numbering.
 	queue := make([]int32, 0, n)
 	for i, l := range s.landmarks {
 		tr := &s.trees[i]
-		tr.parent = make([]int32, n)
-		queue = g.BFSInto(l, dist, tr.parent, queue)
-		tr.index(l)
+		queue = g.BFSInto(l, tr.depth, tr.parent, queue)
+		tr.number(queue)
 	}
 
 	for v := int32(0); int(v) < n; v++ {
 		lv := nearestL[v]
 		a := Address{V: v, Landmark: lv}
 		if lv != graph.Unreachable {
-			a.DFS = s.trees[s.landmarkIdx[lv]].dfs[v]
+			a.DFS = s.trees[s.treeOf[lv]].dfs[v]
 		}
 		s.addr[v] = a
 	}
 
 	// Vicinity balls: truncated BFS from each non-landmark w to radius
 	// δ(w,L)−1, recording next hops (BFS parents point back toward w).
+	// Balls are grown in ascending w, so every row is staged in key order.
+	// A ball holds at most about 1/p vertices in expectation, which sizes
+	// the staging.
 	scratchDist := g.NewDistScratch()
 	scratchHop := make([]int32, n)
+	stage := make([]flatmap.Staged, 0, n*int(math.Ceil(1/p)))
+	var reached []int32
 	for w := int32(0); int(w) < n; w++ {
 		radius := distL[w] - 1
 		if radius < 0 {
 			continue // w is a landmark (or isolated with one)
 		}
-		reached := g.TruncatedBFS(w, radius, scratchDist, nil)
+		reached = g.TruncatedBFSInto(w, radius, scratchDist, reached)
 		// Walk the reached list in BFS order to assign next hops toward w.
 		scratchHop[w] = w
 		for _, x := range reached {
@@ -160,69 +196,65 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 					break
 				}
 			}
-			if s.direct[x] == nil {
-				s.direct[x] = make(map[int32]int32, 4)
-			}
-			s.direct[x][w] = scratchHop[x]
+			stage = append(stage, flatmap.Staged{Row: x, Entry: flatmap.Entry{Key: w, Val: scratchHop[x]}})
 		}
 		graph.ResetDistScratch(scratchDist, reached)
 	}
+	s.direct = flatmap.FromStaged(n, stage)
 	return s, nil
 }
 
-// index computes, from the parent pointers of the tree rooted at root, a
-// DFS numbering, per-vertex subtree intervals [dfs, end], and the children
-// in CSR form. A counting sort over ascending v fills each child list in
-// ascending vertex order, which is the DFS visiting order.
-func (tr *tree) index(root int32) {
-	n := len(tr.parent)
-	tr.dfs = make([]int32, n)
-	tr.end = make([]int32, n)
-	tr.off = make([]int32, n+1)
-	for v, p := range tr.parent {
-		if p != graph.Unreachable && p != int32(v) {
-			tr.off[p+1]++
+// number computes the DFS numbering and subtree intervals [dfs, end] from
+// order, the tree's vertices root first, where each vertex's children
+// follow the children of the vertices before it, in ascending vertex
+// order — a FIFO BFS's queue, since a vertex's children are the vertices
+// its adjacency scan enters. Subtree sizes accumulate in reverse order;
+// then each vertex hands its children consecutive preorder ranges. That
+// is the numbering a depth-first walk visiting children in ascending order
+// gives. Vertices outside order get graph.Unreachable. The tree's arrays
+// must be fresh from the slab: end doubles as the size accumulator, which
+// starts at zero.
+func (tr *tree) number(order []int32) {
+	size := tr.end // end[v] is derived from size[v] once v's range is set
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		size[v]++
+		if i > 0 {
+			size[tr.parent[v]] += size[v]
 		}
 	}
-	for v := 0; v < n; v++ {
-		tr.off[v+1] += tr.off[v]
-	}
-	tr.kids = make([]int32, tr.off[n])
-	next := tr.dfs // fill cursors; dfs is reset below
-	copy(next, tr.off[:n])
-	for v, p := range tr.parent {
-		if p != graph.Unreachable && p != int32(v) {
-			tr.kids[next[p]] = int32(v)
-			next[p]++
+	if len(order) < len(tr.dfs) {
+		for v := range tr.dfs {
+			tr.dfs[v] = graph.Unreachable
+			if size[v] == 0 {
+				tr.end[v] = graph.Unreachable
+			}
 		}
 	}
-	for v := range tr.dfs {
-		tr.dfs[v] = graph.Unreachable
-		tr.end[v] = graph.Unreachable
-	}
-	// Iterative DFS; a frame's next is its position in kids.
-	type frame struct{ v, next int32 }
-	stack := []frame{{v: root, next: tr.off[root]}}
-	tr.dfs[root] = 0
-	counter := int32(1)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < tr.off[f.v+1] {
-			c := tr.kids[f.next]
-			f.next++
-			tr.dfs[c] = counter
-			counter++
-			stack = append(stack, frame{v: c, next: tr.off[c]})
-			continue
+	tr.dfs[order[0]] = 0
+	kid := 1 // order[kid] is the next vertex to get its range
+	for _, v := range order {
+		next := tr.dfs[v] + 1
+		for ; kid < len(order) && tr.parent[order[kid]] == v; kid++ {
+			c := order[kid]
+			tr.dfs[c] = next
+			next += size[c]
 		}
-		tr.end[f.v] = counter - 1
-		stack = stack[:len(stack)-1]
+		tr.pre[tr.dfs[v]] = v
+		tr.end[v] = tr.dfs[v] + size[v] - 1
 	}
 }
 
-// children returns v's children, in ascending vertex order.
-func (tr *tree) children(v int32) []int32 {
-	return tr.kids[tr.off[v]:tr.off[v+1]]
+// childCount returns the number of v's children.
+func (tr *tree) childCount(v int32) int {
+	if tr.dfs[v] == graph.Unreachable {
+		return 0
+	}
+	c := 0
+	for d := tr.dfs[v] + 1; d <= tr.end[v]; d = tr.end[tr.pre[d]] + 1 {
+		c++
+	}
+	return c
 }
 
 // contains reports whether DFS index d lies in v's subtree.
@@ -240,9 +272,9 @@ func (s *Scheme) Landmarks() []int32 { return s.landmarks }
 // hops, direct ball entries, and its tree-interval records.
 func (s *Scheme) TableSize(v int32) int {
 	size := len(s.landmarks) // next hop toward each landmark
-	size += len(s.direct[v])
+	size += len(s.direct.Row(v))
 	for t := range s.trees {
-		size += 1 + len(s.trees[t].children(v)) // own interval + children intervals
+		size += 1 + s.trees[t].childCount(v) // own interval + children intervals
 	}
 	return size
 }
@@ -255,19 +287,23 @@ func (s *Scheme) NextHop(x int32, dst Address) (int32, bool) {
 		return x, true
 	}
 	// Direct (vicinity ball) entry wins: it is a shortest-path hop.
-	if hop, ok := s.direct[x][dst.V]; ok {
+	if hop, ok := s.direct.Get(x, dst.V); ok {
 		return hop, true
 	}
-	if dst.Landmark == graph.Unreachable {
+	t, ok := s.LandmarkIndexOf(dst.Landmark)
+	if !ok {
 		return 0, false
 	}
-	tr := &s.trees[s.landmarkIdx[dst.Landmark]]
+	tr := &s.trees[t]
 	if tr.dfs[x] != graph.Unreachable && tr.contains(x, dst.DFS) {
-		// Tree phase: descend to the child whose interval contains dst.
-		for _, c := range tr.children(x) {
+		// Tree phase: descend to the child whose interval contains dst,
+		// stepping from each child to the next past its subtree.
+		for d := tr.dfs[x] + 1; d <= tr.end[x]; {
+			c := tr.pre[d]
 			if tr.contains(c, dst.DFS) {
 				return c, true
 			}
+			d = tr.end[c] + 1
 		}
 		return 0, false // corrupt header
 	}

@@ -57,7 +57,7 @@ func TestRouteExactWithinBall(t *testing.T) {
 			if u == w || dw[u] < 1 {
 				continue
 			}
-			if _, ok := s.direct[u][w]; !ok {
+			if _, ok := s.direct.Get(u, w); !ok {
 				continue
 			}
 			path, err := s.Route(u, w)

@@ -7,8 +7,8 @@ import (
 
 // Snapshot is one immutable serving generation: a loaded artifact plus the
 // derived read-only structures queries touch — the spanner materialized as
-// a CSR graph for path queries, and the cached landmark distance arrays of
-// the routing scheme. Everything in a snapshot is built once at load/swap
+// a CSR graph for path queries, and the routing scheme's landmark distance
+// rows. Everything in a snapshot is built once at load/swap
 // time and only read afterwards, which is what makes lock-free sharing
 // across concurrent callers (and the atomic hot-swap) safe.
 type Snapshot struct {
@@ -22,9 +22,10 @@ type Snapshot struct {
 	// spanner is Art.Spanner materialized as a graph, the structure Path
 	// queries BFS over.
 	spanner *graph.Graph
-	// lmDist[t][v] is the cached distance from v to routing landmark t —
-	// computed once here so Route replies can attach the landmark-route
-	// bound without per-query tree walks.
+	// lmDist[t][v] is the distance from v to routing landmark t — the
+	// depth rows the scheme keeps from building or decoding its trees, so
+	// Route replies attach the landmark-route bound without per-query tree
+	// walks.
 	lmDist [][]int32
 	// part, when non-nil, marks this snapshot as one partition of a split:
 	// distance queries with an uncovered endpoint are answered as composed
