@@ -17,9 +17,11 @@ race:
 	$(GO) test -race ./...
 
 # The root benchmarks, including BenchmarkArtifactBuild and
-# BenchmarkDeltaApply (the cost of one generation rebuild at n=5000) and
+# BenchmarkDeltaApply (the cost of one generation rebuild at n=5000),
 # BenchmarkNewMaintainer (the dynamic maintainer's witness index at n=5000,
-# GOMAXPROCS 1 and 2).
+# GOMAXPROCS 1 and 2) and BenchmarkSkeletonDistributed (the paper's
+# distributed skeleton builder at servebench's shape; run it with -cpu 1,
+# allocs/op is the simulator's per-message cost).
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -44,8 +46,10 @@ vet: fmtcheck
 
 # The robustness gate: every fault-injection, panic-containment,
 # self-healing, reliable-transport and checkpoint/resume test under the
-# race detector, plus short fuzz passes over the fault-plan space and the
-# reliable link protocol.
+# race detector, the simulator's pinned outputs (rounds, messages, words,
+# max words and output hashes of every distributed builder, both execution
+# modes, 1, 2 and 4 workers), plus short fuzz passes over the fault-plan
+# space and the reliable link protocol.
 faultcheck:
 	gofmt -l internal/reliable internal/verify internal/distsim internal/core | \
 		{ ! grep .; } || { echo "gofmt needed (see above)" >&2; exit 1; }
@@ -53,6 +57,8 @@ faultcheck:
 	$(GO) test -run 'Fault|Heal|Stall|Deadline|Panic|Crash|Drop|Resilience|Reliable|Wrap|Checkpoint|Resume|Degrad|Dup|Abandon' -race \
 		./internal/distsim/... ./internal/faults/... ./internal/verify/... \
 		./internal/reliable/... ./internal/core/... .
+	$(GO) test -run PinnedOutputs -race -count=1 -cpu 1,2,4 \
+		./internal/distsim/ ./internal/core/ ./internal/fibonacci/ ./internal/oracle/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faults
 	$(GO) test -fuzz=FuzzReliableLink -fuzztime=10s ./internal/reliable
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s ./internal/artifact

@@ -1220,6 +1220,28 @@ func BenchmarkDeltaApplyChain(b *testing.B) {
 	}
 }
 
+var sinkSkeleton *SkeletonDistributedResult
+
+// The paper's distributed skeleton builder at servebench's shape: G(n,p)
+// at n=5000 with average degree 16, seed 3 — the core.skeleton share of
+// every workload's setup_s. Run with -cpu 1 to match servebench's
+// GOMAXPROCS=1; allocs/op is the simulator's per-message cost.
+func BenchmarkSkeletonDistributed(b *testing.B) {
+	g, err := MakeWorkload("gnp", 5000, 16, NewRand(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := BuildSkeletonDistributed(g, SkeletonOptions{Seed: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkSkeleton = res
+	}
+}
+
 var sinkMaintainer *DynamicMaintainer
 
 // Maintainer construction at servebench's shape: G(n,p) at n=5000 with

@@ -262,15 +262,29 @@ func Unmarshal(data []byte) (*Artifact, error) {
 		words[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
 	}
 	body, sum := words[:len(words)-1], words[len(words)-1]
-	if body[0] != magic {
-		return nil, ErrMagic
-	}
-	if body[1] != version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], version)
+	if err := checkHeader(body); err != nil {
+		return nil, err
 	}
 	if fnvBytes(data[:len(data)-8]) != sum {
 		return nil, ErrChecksum
 	}
+	return decodeBody(body, sum)
+}
+
+// checkHeader validates the magic and version words of an artifact body.
+func checkHeader(body []int64) error {
+	if body[0] != magic {
+		return ErrMagic
+	}
+	if body[1] != version {
+		return fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], version)
+	}
+	return nil
+}
+
+// decodeBody decodes a verified artifact word stream (header included,
+// footer excluded) whose checksum is sum.
+func decodeBody(body []int64, sum int64) (*Artifact, error) {
 	r := &reader{buf: body, pos: 2}
 	a := &Artifact{Seed: r.get()}
 	k := r.get()

@@ -224,12 +224,15 @@ func UnmarshalPart(data []byte) (*Part, error) {
 	if r.pos != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
 	}
-	abuf := make([]byte, 8*(len(aw)+1))
-	for i, v := range aw {
-		binary.LittleEndian.PutUint64(abuf[8*i:], uint64(v))
+	// The part's footer already covered the embedded words: decode them in
+	// place, hashing them once for the artifact's checksum.
+	if len(aw) < 7 {
+		return nil, fmt.Errorf("embedded artifact: %w: %d bytes", ErrTruncated, 8*(len(aw)+1))
 	}
-	binary.LittleEndian.PutUint64(abuf[8*len(aw):], uint64(fnvWords(aw)))
-	art, err := Unmarshal(abuf)
+	if err := checkHeader(aw); err != nil {
+		return nil, fmt.Errorf("embedded artifact: %w", err)
+	}
+	art, err := decodeBody(aw, fnvWords(aw))
 	if err != nil {
 		return nil, fmt.Errorf("embedded artifact: %w", err)
 	}

@@ -96,6 +96,25 @@ func TestPartRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPartEmbeddedChecksum: a decoded part's artifact carries the source
+// artifact's checksum. The decoder takes it from one hash of the embedded
+// words; the source computed its own by streaming its encoder.
+func TestPartEmbeddedChecksum(t *testing.T) {
+	_, parts := testSplit(t, 3)
+	for _, p := range parts {
+		q, err := UnmarshalPart(p.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := q.Art.Checksum(), p.Art.Checksum(); got != want {
+			t.Fatalf("part %d: embedded artifact checksum %#x, source %#x", p.ID, got, want)
+		}
+		if got, want := q.Art.Checksum(), streamSum(q.Art.encode); got != want {
+			t.Fatalf("part %d: decoded checksum %#x, re-encoded %#x", p.ID, got, want)
+		}
+	}
+}
+
 func TestPartitionMapRoundTrip(t *testing.T) {
 	m, _ := testSplit(t, 3)
 	data := m.Marshal()

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"spanner/internal/distsim"
 	"spanner/internal/faults"
@@ -77,7 +77,7 @@ type skelNode struct {
 	p1          distsim.NodeID   // parent toward superCenter (self at the center)
 	p2          distsim.NodeID   // parent toward the cluster center
 	children1   []distsim.NodeID // p1-tree children
-	children2   map[distsim.NodeID]bool
+	children2   []distsim.NodeID // p2-tree children (duplicates removed on contraction)
 
 	// Per-call context, set by the driver.
 	call       int64
@@ -85,17 +85,19 @@ type skelNode struct {
 	abortQ     int
 	chunk      int // death triples per message
 
-	// Per-call scratch.
+	// Per-call scratch. It keeps its capacity from call to call, so a
+	// vertex allocates only while its largest call's state is still growing.
 	announceDone  bool
 	cands         []skelCand
-	candIdx       map[int32]struct{}
+	candIdx       clusterSet // clusters of cands
 	hasBest       bool
 	best          skelCand
 	bestFromChild distsim.NodeID // children1 supplier of best; self if local
 	reportsLeft   int
 	decided       bool
 
-	deathSeen     map[int32]bool
+	deathSeenOn   bool       // deathSeen is live (the death procedure began)
+	deathSeen     clusterSet // clusters already queued toward the root
 	deathQueue    []skelCand
 	deathDoneLeft int
 	deathStarted  bool
@@ -103,6 +105,52 @@ type skelNode struct {
 
 	// outEdges collects the spanner edges this vertex selected this call.
 	outEdges []int64
+	// payload is the scratch a death-triples message is built in.
+	payload []int64
+}
+
+// clusterSet is a set of cluster ids that stops allocating once grown: a
+// linear scan while it holds at most smallSet ids, an index map past that.
+type clusterSet struct {
+	ids []int32
+	idx map[int32]struct{} // every id, once len(ids) > smallSet
+}
+
+const smallSet = 16
+
+func (c *clusterSet) has(id int32) bool {
+	if len(c.ids) <= smallSet {
+		return slices.Contains(c.ids, id)
+	}
+	_, ok := c.idx[id]
+	return ok
+}
+
+// add inserts id and reports whether it was new.
+func (c *clusterSet) add(id int32) bool {
+	if c.has(id) {
+		return false
+	}
+	c.ids = append(c.ids, id)
+	switch {
+	case len(c.ids) == smallSet+1:
+		if c.idx == nil {
+			c.idx = make(map[int32]struct{}, 4*smallSet)
+		}
+		for _, x := range c.ids {
+			c.idx[x] = struct{}{}
+		}
+	case len(c.ids) > smallSet+1:
+		c.idx[id] = struct{}{}
+	}
+	return true
+}
+
+func (c *clusterSet) reset() {
+	if len(c.ids) > smallSet {
+		clear(c.idx)
+	}
+	c.ids = c.ids[:0]
 }
 
 var _ distsim.Handler = (*skelNode)(nil)
@@ -123,13 +171,14 @@ func (s *skelNode) resetCall(callIdx int64, abortQ, cap int) {
 	}
 	s.announceDone = false
 	s.cands = s.cands[:0]
-	s.candIdx = make(map[int32]struct{})
+	s.candIdx.reset()
 	s.hasBest = false
 	s.bestFromChild = -1
 	s.reportsLeft = len(s.children1)
 	s.decided = false
-	s.deathSeen = nil
-	s.deathQueue = nil
+	s.deathSeenOn = false
+	s.deathSeen.reset()
+	s.deathQueue = s.deathQueue[:0]
 	s.deathDoneLeft = 0
 	s.deathStarted = false
 	s.abortSent = false
@@ -144,11 +193,9 @@ func (s *skelNode) contractLocal() {
 	}
 	s.p1 = s.p2
 	s.superCenter = s.cluster
-	s.children1 = s.children1[:0]
-	for c := range s.children2 {
-		s.children1 = append(s.children1, c)
-	}
-	sort.Slice(s.children1, func(i, j int) bool { return s.children1[i] < s.children1[j] })
+	s.children1 = append(s.children1[:0], s.children2...)
+	slices.Sort(s.children1)
+	s.children1 = slices.Compact(s.children1)
 }
 
 func (s *skelNode) Start(n *distsim.NodeCtx) {
@@ -180,7 +227,7 @@ func (s *skelNode) HandleRound(n *distsim.NodeCtx, inbox []distsim.Message) {
 		case mJoinOff:
 			s.onJoin(n, m, false)
 		case mNotify:
-			s.children2[m.From] = true
+			s.children2 = append(s.children2, m.From)
 		case mDeathReq:
 			s.startDeath(n)
 		case mDeathTriples:
@@ -222,10 +269,9 @@ func (s *skelNode) onAnnounce(m distsim.Message) {
 	if clusterC == s.cluster {
 		return // same cluster: not a candidate
 	}
-	if _, dup := s.candIdx[clusterC]; dup {
+	if !s.candIdx.add(clusterC) {
 		return // already have a representative edge to this cluster
 	}
-	s.candIdx[clusterC] = struct{}{}
 	c := skelCand{cluster: clusterC, tau: tau, u: int32(s.self), v: int32(m.From)}
 	s.cands = append(s.cands, c)
 	if sampled && (!s.hasBest || c.cluster < s.best.cluster) {
@@ -302,12 +348,9 @@ func (s *skelNode) adoptCluster(cluster int32, tau int64) {
 func (s *skelNode) joinTerminal(n *distsim.NodeCtx) {
 	s.outEdges = append(s.outEdges, graph.EdgeKey(s.best.u, s.best.v))
 	s.p2 = distsim.NodeID(s.best.v)
-	s.children2 = make(map[distsim.NodeID]bool, len(s.children1))
-	for _, c := range s.children1 {
-		s.children2[c] = true
-	}
+	s.children2 = append(s.children2[:0], s.children1...)
 	if !s.isRoot() {
-		s.children2[s.p1] = true
+		s.children2 = append(s.children2, s.p1)
 	}
 	n.Send(distsim.NodeID(s.best.v), mNotify)
 }
@@ -315,24 +358,21 @@ func (s *skelNode) joinTerminal(n *distsim.NodeCtx) {
 // rechain re-aims p2 down toward the chain child that owns the winning edge.
 func (s *skelNode) rechain(chainChild, parent distsim.NodeID) {
 	s.p2 = chainChild
-	s.children2 = make(map[distsim.NodeID]bool, len(s.children1))
+	s.children2 = s.children2[:0]
 	for _, c := range s.children1 {
 		if c != chainChild {
-			s.children2[c] = true
+			s.children2 = append(s.children2, c)
 		}
 	}
 	if parent >= 0 {
-		s.children2[parent] = true
+		s.children2 = append(s.children2, parent)
 	}
 }
 
 // resetP2 restores the default p2 := p1 for off-chain vertices (Fig. 4).
 func (s *skelNode) resetP2() {
 	s.p2 = s.p1
-	s.children2 = make(map[distsim.NodeID]bool, len(s.children1))
-	for _, c := range s.children1 {
-		s.children2[c] = true
-	}
+	s.children2 = append(s.children2[:0], s.children1...)
 }
 
 // sendJoinDown propagates the join decision to every child except the chain
@@ -374,10 +414,10 @@ func (s *skelNode) startDeath(n *distsim.NodeCtx) {
 	}
 	s.deathStarted = true
 	s.deathDoneLeft = len(s.children1)
-	s.deathSeen = make(map[int32]bool, len(s.cands))
+	s.deathSeenOn = true
 	s.deathQueue = append(s.deathQueue[:0], s.cands...)
 	for _, c := range s.cands {
-		s.deathSeen[c.cluster] = true
+		s.deathSeen.add(c.cluster)
 	}
 	for _, c := range s.children1 {
 		n.Send(c, mDeathReq)
@@ -396,8 +436,7 @@ func (s *skelNode) onDeathTriples(n *distsim.NodeCtx, m distsim.Message) {
 			u:       int32(m.Data[3+3*i]),
 			v:       int32(m.Data[4+3*i]),
 		}
-		if !s.deathSeen[c.cluster] {
-			s.deathSeen[c.cluster] = true
+		if s.deathSeen.add(c.cluster) {
 			s.deathQueue = append(s.deathQueue, c)
 		}
 	}
@@ -406,7 +445,7 @@ func (s *skelNode) onDeathTriples(n *distsim.NodeCtx, m distsim.Message) {
 
 // checkAbort applies Theorem 2's q > 4·sᵢ·ln n rule.
 func (s *skelNode) checkAbort(n *distsim.NodeCtx) {
-	if s.abortQ <= 0 || len(s.deathSeen) <= s.abortQ || s.abortSent {
+	if s.abortQ <= 0 || len(s.deathSeen.ids) <= s.abortQ || s.abortSent {
 		return
 	}
 	s.abortSent = true
@@ -450,14 +489,12 @@ func (s *skelNode) pumpDeath(n *distsim.NodeCtx) {
 		if k > len(s.deathQueue) {
 			k = len(s.deathQueue)
 		}
-		payload := make([]int64, 2, 2+3*k)
-		payload[0] = mDeathTriples
-		payload[1] = int64(k)
+		s.payload = append(s.payload[:0], mDeathTriples, int64(k))
 		for _, c := range s.deathQueue[:k] {
-			payload = append(payload, int64(c.cluster), int64(c.u), int64(c.v))
+			s.payload = append(s.payload, int64(c.cluster), int64(c.u), int64(c.v))
 		}
 		s.deathQueue = s.deathQueue[k:]
-		n.SendWords(s.p1, payload)
+		n.SendWords(s.p1, s.payload)
 	}
 	if len(s.deathQueue) > 0 {
 		n.WakeNextRound()
@@ -546,7 +583,7 @@ func BuildSkeletonDistributed(g *graph.Graph, opts Options) (*DistributedResult,
 		Seed: opts.Seed, MsgCap: msgCap, Faults: opts.Faults, Obs: opts.Obs,
 		Label: "skeleton.dist", Reliable: opts.Reliable,
 		CheckpointDir: opts.CheckpointDir, CheckpointEvery: opts.CheckpointEvery,
-		Resume: opts.Resume,
+		Resume: opts.Resume, goroutinePerNode: opts.goroutinePerNode,
 	})
 	if err != nil && opts.Resilience == nil && !opts.Degrade {
 		return nil, err

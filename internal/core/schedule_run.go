@@ -39,6 +39,8 @@ type ScheduleOpts struct {
 	// spanner, metrics and per-call profiles byte-identical to the
 	// uninterrupted run.
 	Resume bool
+	// goroutinePerNode selects the engine's goroutine-per-vertex mode.
+	goroutinePerNode bool
 }
 
 // ScheduleResult is the outcome of RunExpandScheduleOpts. On error Spanner
@@ -227,6 +229,8 @@ func RunExpandScheduleOpts(g *graph.Graph, schedule []Call, opts ScheduleOpts) (
 	for v := 0; v < n; v++ {
 		handlers[v] = &nodes[v]
 	}
+	// One set of engine round buffers serves every call of the schedule.
+	bufs := new(distsim.Buffers)
 	startCall := 0
 	if opts.Resume {
 		if opts.CheckpointDir == "" {
@@ -243,6 +247,11 @@ func RunExpandScheduleOpts(g *graph.Graph, schedule []Call, opts ScheduleOpts) (
 		// Pre-draw each vertex's first-unsampled call index against the
 		// public schedule (the paper's line-1 pre-sampling).
 		rng := rand.New(rand.NewSource(opts.Seed))
+		// A vertex holds at most one candidate per neighbor, so its
+		// candidate list and index are cut from two slabs at its degree.
+		candSlab := make([]skelCand, 2*g.M())
+		idSlab := make([]int32, 2*g.M())
+		off := 0
 		for v := 0; v < n; v++ {
 			tau := int64(len(schedule) - 1)
 			for idx, c := range schedule {
@@ -258,8 +267,11 @@ func RunExpandScheduleOpts(g *graph.Graph, schedule []Call, opts ScheduleOpts) (
 				clusterTau:  tau,
 				p1:          distsim.NodeID(v),
 				p2:          distsim.NodeID(v),
-				children2:   make(map[distsim.NodeID]bool),
 			}
+			end := off + g.Degree(int32(v))
+			nodes[v].cands = candSlab[off:off:end]
+			nodes[v].candIdx.ids = idSlab[off:off:end]
+			off = end
 		}
 	}
 
@@ -301,11 +313,13 @@ func RunExpandScheduleOpts(g *graph.Graph, schedule []Call, opts ScheduleOpts) (
 		engineHandlers := handlers
 		var sess *reliable.Session
 		cfg := distsim.Config{
-			MaxMsgWords: opts.MsgCap,
-			Strict:      opts.MsgCap > 0,
-			Faults:      opts.Faults,
-			Obs:         opts.Obs,
-			Parent:      cspan,
+			MaxMsgWords:      opts.MsgCap,
+			Strict:           opts.MsgCap > 0,
+			Faults:           opts.Faults,
+			Obs:              opts.Obs,
+			Parent:           cspan,
+			GoroutinePerNode: opts.goroutinePerNode,
+			Buffers:          bufs,
 		}
 		if opts.Reliable != nil {
 			pol := *opts.Reliable

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"spanner/internal/distsim"
 )
@@ -10,9 +10,9 @@ import (
 // skelNode checkpointing: the full protocol state — tree pointers, per-call
 // scratch, death-procedure queues — serialized to a flat word stream so
 // distsim round-boundary checkpoints (and the driver's call-boundary
-// manifests) can restart a killed Expand run byte-identically. Map-shaped
-// state is emitted in sorted key order so snapshots are deterministic;
-// candIdx is not serialized (it is recomputed from cands).
+// manifests) can restart a killed Expand run byte-identically. Set-shaped
+// state is emitted sorted and without duplicates so snapshots are
+// deterministic; candIdx is not serialized (it is recomputed from cands).
 
 var _ distsim.Snapshotter = (*skelNode)(nil)
 
@@ -36,11 +36,9 @@ func (s *skelNode) Snapshot() []int64 {
 	for _, c := range s.children1 {
 		w = append(w, int64(c))
 	}
-	ch2 := make([]distsim.NodeID, 0, len(s.children2))
-	for c := range s.children2 {
-		ch2 = append(ch2, c)
-	}
-	sort.Slice(ch2, func(i, j int) bool { return ch2[i] < ch2[j] })
+	ch2 := slices.Clone(s.children2)
+	slices.Sort(ch2)
+	ch2 = slices.Compact(ch2)
 	w = append(w, int64(len(ch2)))
 	for _, c := range ch2 {
 		w = append(w, int64(c))
@@ -52,14 +50,11 @@ func (s *skelNode) Snapshot() []int64 {
 	}
 	w = putCand(w, s.best)
 	w = append(w, int64(s.bestFromChild), int64(s.reportsLeft))
-	if s.deathSeen == nil {
+	if !s.deathSeenOn {
 		w = append(w, -1)
 	} else {
-		seen := make([]int32, 0, len(s.deathSeen))
-		for c := range s.deathSeen {
-			seen = append(seen, c)
-		}
-		sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
+		seen := slices.Clone(s.deathSeen.ids)
+		slices.Sort(seen)
 		w = append(w, int64(len(seen)))
 		for _, c := range seen {
 			w = append(w, int64(c))
@@ -93,31 +88,28 @@ func (s *skelNode) Restore(state []int64) error {
 	for i, k := 0, int(r.next()); i < k; i++ {
 		s.children1 = append(s.children1, distsim.NodeID(r.next()))
 	}
-	s.children2 = make(map[distsim.NodeID]bool)
+	s.children2 = s.children2[:0]
 	for i, k := 0, int(r.next()); i < k; i++ {
-		s.children2[distsim.NodeID(r.next())] = true
+		s.children2 = append(s.children2, distsim.NodeID(r.next()))
 	}
 	s.call = r.next()
 	s.abortQ = int(r.next())
 	s.chunk = int(r.next())
 	s.cands = s.cands[:0]
-	s.candIdx = make(map[int32]struct{})
+	s.candIdx.reset()
 	for i, k := 0, int(r.next()); i < k; i++ {
 		c := r.cand()
 		s.cands = append(s.cands, c)
-		s.candIdx[c.cluster] = struct{}{}
+		s.candIdx.add(c.cluster)
 	}
 	s.best = r.cand()
 	s.bestFromChild = distsim.NodeID(r.next())
 	s.reportsLeft = int(r.next())
 	nSeen := int(r.next())
-	if nSeen < 0 {
-		s.deathSeen = nil
-	} else {
-		s.deathSeen = make(map[int32]bool, nSeen)
-		for i := 0; i < nSeen; i++ {
-			s.deathSeen[int32(r.next())] = true
-		}
+	s.deathSeenOn = nSeen >= 0
+	s.deathSeen.reset()
+	for i := 0; i < nSeen; i++ {
+		s.deathSeen.add(int32(r.next()))
 	}
 	s.deathQueue = s.deathQueue[:0]
 	for i, k := 0, int(r.next()); i < k; i++ {

@@ -174,7 +174,15 @@ func (net *Network) writeCheckpoint(round int) error {
 	for _, t := range net.trace {
 		w.put(int64(t.Round), t.Messages, t.Words)
 	}
-	// Per-node engine flags, undrained outboxes and handler snapshots.
+	// Per-node engine flags, undrained outboxes and handler snapshots. The
+	// undrained sends sit in the write arena in sender order.
+	var undrained []pendingMsg
+	for _, seg := range net.bufs.segs[net.wp] {
+		for _, o := range seg.out {
+			undrained = append(undrained, pendingMsg{to: o.to,
+				msg: Message{From: o.from, Data: seg.words[o.off : o.off+int(o.n)]}})
+		}
+	}
 	for v := range net.nodes {
 		node := &net.nodes[v]
 		flags := int64(0)
@@ -184,17 +192,25 @@ func (net *Network) writeCheckpoint(round int) error {
 		if node.awake {
 			flags |= 2
 		}
-		w.put(flags, int64(len(node.outbox)))
-		for _, m := range node.outbox {
-			w.put(int64(m.to))
-			w.putSlice(m.data)
+		k := 0
+		for k < len(undrained) && undrained[k].msg.From == NodeID(v) {
+			k++
 		}
+		w.put(flags, int64(k))
+		for _, d := range undrained[:k] {
+			w.put(int64(d.to))
+			w.putSlice(d.msg.Data)
+		}
+		undrained = undrained[k:]
 		if h := net.handlers[v]; h != nil {
 			w.put(1)
 			w.putSlice(h.(Snapshotter).Snapshot())
 		} else {
 			w.put(0)
 		}
+	}
+	if len(undrained) > 0 {
+		return fmt.Errorf("distsim: undrained sends of node %d are out of sender order", undrained[0].msg.From)
 	}
 	return WriteWordsFile(filepath.Join(net.cfg.Checkpoint.Dir, CheckpointName(round)), w.buf)
 }
@@ -367,10 +383,11 @@ func ResumeFrom(g *graph.Graph, handlers []Handler, cfg Config, path string) (*N
 		node.halted = flags&1 != 0
 		node.awake = flags&2 != 0
 		nOut := int(r.get())
+		node.seg = &net.bufs.segs[net.wp][0]
 		for j := 0; j < nOut; j++ {
 			to := NodeID(r.get())
-			data := append([]int64(nil), r.getSlice()...)
-			node.outbox = append(node.outbox, outMsg{to: to, data: data})
+			off := node.store(r.getSlice())
+			node.seg.out = append(node.seg.out, outMsg{from: node.id, to: to, n: int32(len(node.seg.words) - off), off: off})
 		}
 		hasHandler := r.get() == 1
 		if r.err != nil {

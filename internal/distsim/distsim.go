@@ -21,6 +21,18 @@
 // their own node's. Delivery order is deterministic (inboxes are sorted by
 // sender), so a protocol seeded deterministically produces identical runs.
 //
+// The engine makes no allocation per message. Send, SendWords and
+// Broadcast copy the payload into the sender's word arena for the round;
+// an outgoing message is a (to, offset, length) entry into it. Arenas are
+// double-buffered: the words sent in round r are read in round r+1 while
+// round r+1's sends fill the other buffer, which is then recycled. Inboxes
+// are one counting-sorted array per round, indexed by receiver. Hence
+// Message.Data, and the inbox slice itself, are valid only during the
+// HandleRound call that receives them: a handler that keeps payload words
+// past its return must copy them. The buffers can outlive one Network
+// (Config.Buffers), so a driver running many engine calls in a row
+// allocates them once.
+//
 // The lossless synchronous model can be perturbed by attaching a seeded
 // faults.Plan (Config.Faults): messages are then dropped, duplicated,
 // corrupted or delayed, links fail, and nodes crash on a deterministic
@@ -34,7 +46,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +59,8 @@ import (
 // NodeID identifies a processor/vertex.
 type NodeID = int32
 
-// Message is a payload delivered along an edge in one round.
+// Message is a payload delivered along an edge in one round. Data is a
+// read-only view valid until the receiving HandleRound returns.
 type Message struct {
 	From NodeID
 	Data []int64
@@ -63,6 +76,7 @@ type Handler interface {
 	Start(n *NodeCtx)
 	// HandleRound runs once per round with the messages delivered this
 	// round, sorted by sender id. It may send messages for the next round.
+	// The inbox and every Message.Data in it are reused after it returns.
 	HandleRound(n *NodeCtx, inbox []Message)
 }
 
@@ -178,6 +192,11 @@ type Config struct {
 	Parent *obs.Span
 	// Label overrides the run span's name (default "distsim.run").
 	Label string
+	// Buffers, when non-nil, supplies the round buffers (payload arenas,
+	// inboxes, task lists) and keeps them for the next network that is given
+	// the same Buffers, so a driver running many engine calls over one graph
+	// allocates them once. Nil gives the network buffers of its own.
+	Buffers *Buffers
 }
 
 // RoundStats is one round's communication volume (with TraceRounds set).
@@ -193,8 +212,11 @@ type Network struct {
 	cfg      Config
 	handlers []Handler
 	nodes    []NodeCtx
-	inboxes  [][]Message
 	trace    []RoundStats
+
+	// Round buffers; segs[wp] is where this step's sends land.
+	bufs *Buffers
+	wp   int
 
 	// Fault injection (nil when Config.Faults is nil or zero, keeping the
 	// fault-free path untouched).
@@ -241,7 +263,8 @@ type Network struct {
 	stallStreak int
 }
 
-// pendingMsg is a delayed delivery held for a future round.
+// pendingMsg is one delivery: a message and its receiver. Delayed ones wait
+// in Network.pending; a faulted round lists its deliveries in Buffers.deliv.
 type pendingMsg struct {
 	to  NodeID
 	msg Message
@@ -268,12 +291,23 @@ func newNetwork(g *graph.Graph, handlers []Handler, cfg Config, makeInjector boo
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	bufs := cfg.Buffers
+	if bufs == nil {
+		bufs = new(Buffers)
+	}
+	// One writer segment per pool worker, or per node when every node runs
+	// on a goroutine of its own.
+	writers := cfg.Workers
+	if cfg.GoroutinePerNode {
+		writers = g.N()
+	}
+	bufs.prepare(g.N(), max(writers, 1))
 	net := &Network{
 		g:        g,
 		cfg:      cfg,
 		handlers: handlers,
-		nodes:    make([]NodeCtx, g.N()),
-		inboxes:  make([][]Message, g.N()),
+		nodes:    bufs.nodes,
+		bufs:     bufs,
 	}
 	if makeInjector {
 		net.inj = cfg.Faults.NewInjector()
@@ -289,7 +323,7 @@ func newNetwork(g *graph.Graph, handlers []Handler, cfg Config, makeInjector boo
 		}
 	}
 	for v := range net.nodes {
-		net.nodes[v] = NodeCtx{id: NodeID(v), net: net}
+		net.nodes[v] = NodeCtx{id: NodeID(v), net: net, seg: &bufs.segs[0][0]}
 	}
 	return net, nil
 }
@@ -299,7 +333,7 @@ func newNetwork(g *graph.Graph, handlers []Handler, cfg Config, makeInjector boo
 type NodeCtx struct {
 	id     NodeID
 	net    *Network
-	outbox []outMsg
+	seg    *segment // where this invocation's sends land
 	halted bool
 	awake  bool // request another round even without sending
 
@@ -309,9 +343,12 @@ type NodeCtx struct {
 	iceptCap int
 }
 
+// outMsg is one sent message: its payload is words[off:off+n] of the
+// segment that holds the entry.
 type outMsg struct {
-	to   NodeID
-	data []int64
+	from, to NodeID
+	n        int32
+	off      int
 }
 
 // ID returns the node's identity (equal to its vertex id).
@@ -328,44 +365,54 @@ func (n *NodeCtx) Neighbors() []NodeID { return n.net.g.Neighbors(n.id) }
 // bound) is a standard assumption in this model.
 func (n *NodeCtx) N() int { return n.net.g.N() }
 
-// Send transmits data to a neighbor in the next round. Sending to a
-// non-neighbor panics: the communication graph is the input graph by
-// definition of the model, so such a send is a protocol bug.
+// Send transmits data to a neighbor in the next round. The payload is
+// copied, so the caller may reuse data at once. Sending to a non-neighbor
+// panics: the communication graph is the input graph by definition of the
+// model, so such a send is a protocol bug.
 func (n *NodeCtx) Send(to NodeID, data ...int64) {
-	if !n.net.g.HasEdge(n.id, to) {
-		panic(fmt.Sprintf("distsim: node %d sent to non-neighbor %d", n.id, to))
-	}
-	if n.icept != nil {
-		n.icept.InterceptSend(to, data)
-		return
-	}
-	n.outbox = append(n.outbox, outMsg{to: to, data: data})
+	n.SendWords(to, data)
 }
 
-// SendWords is Send for a pre-built payload slice (no copy is taken; the
-// sender must not modify it afterwards).
+// SendWords is Send for a pre-built payload slice (copied like Send's).
 func (n *NodeCtx) SendWords(to NodeID, data []int64) {
 	if !n.net.g.HasEdge(n.id, to) {
 		panic(fmt.Sprintf("distsim: node %d sent to non-neighbor %d", n.id, to))
 	}
+	off := n.store(data)
 	if n.icept != nil {
-		n.icept.InterceptSend(to, data)
+		n.icept.InterceptSend(to, n.view(off, len(data)))
 		return
 	}
-	n.outbox = append(n.outbox, outMsg{to: to, data: data})
+	n.seg.out = append(n.seg.out, outMsg{from: n.id, to: to, n: int32(len(data)), off: off})
 }
 
-// Broadcast sends the same payload to every neighbor.
+// Broadcast sends the same payload to every neighbor; the words are stored
+// once and every neighbor's message views them.
 func (n *NodeCtx) Broadcast(data ...int64) {
+	off := n.store(data)
 	if n.icept != nil {
+		view := n.view(off, len(data))
 		for _, v := range n.Neighbors() {
-			n.icept.InterceptSend(v, data)
+			n.icept.InterceptSend(v, view)
 		}
 		return
 	}
 	for _, v := range n.Neighbors() {
-		n.outbox = append(n.outbox, outMsg{to: v, data: data})
+		n.seg.out = append(n.seg.out, outMsg{from: n.id, to: v, n: int32(len(data)), off: off})
 	}
+}
+
+// store copies a payload into the node's segment and returns its offset.
+func (n *NodeCtx) store(data []int64) int {
+	off := len(n.seg.words)
+	n.seg.words = append(n.seg.words, data...)
+	return off
+}
+
+// view is the stored payload at off, capped so an append by a reader
+// cannot overwrite the words after it.
+func (n *NodeCtx) view(off, length int) []int64 {
+	return n.seg.words[off : off+length : off+length]
 }
 
 // Halt marks the node finished; its handler will not be called again.
@@ -468,14 +515,15 @@ func (net *Network) Run() (Metrics, error) {
 			return net.Metrics(), err
 		}
 		// Round 0: Start on every node (crashed nodes never boot).
-		startTasks := make([]nodeTask, 0, nVerts)
+		tasks := net.bufs.tasks[:0]
 		for v := 0; v < nVerts; v++ {
 			if net.handlers[v] == nil || net.inj.Crashed(int32(v), 0) {
 				continue
 			}
-			startTasks = append(startTasks, nodeTask{v: v, start: true})
+			tasks = append(tasks, nodeTask{v: v, start: true})
 		}
-		net.dispatch(startTasks)
+		net.bufs.tasks = tasks
+		net.dispatch(tasks)
 		if err := net.takeRunErr(); err != nil {
 			return net.Metrics(), err
 		}
@@ -495,59 +543,28 @@ func (net *Network) Run() (Metrics, error) {
 		if net.cfg.Deadline > 0 && time.Since(startTime) > net.cfg.Deadline {
 			return net.Metrics(), &RunError{Node: NoNode, Round: round, Cause: ErrDeadline}
 		}
-		// Deliver: delayed messages due this round first, then move
-		// outboxes to inboxes. Serial, in sender order, so each inbox stays
-		// deterministic (and is sorted by sender before the step).
-		delivered := 0
-		if net.pendingCount > 0 {
-			if due := net.pending[round]; len(due) > 0 {
-				delete(net.pending, round)
-				net.pendingCount -= len(due)
-				for _, d := range due {
-					if net.inj.Crashed(int32(d.to), round) {
-						atomic.AddInt64(&net.fDroppedCrash, 1)
-						net.regFaults.Inc()
-						continue
-					}
-					net.inboxes[d.to] = append(net.inboxes[d.to], d.msg)
-					delivered++
-				}
-			}
-		}
+		// Deliver: delayed messages due this round first, then the sends of
+		// the last step in sender order, sorted into per-receiver inboxes.
+		t := net.deliver(round)
 		anyAwake := false
-		var roundMsgs, roundWords int64
-		var drainErr error
-		for v := 0; v < nVerts; v++ {
+		for v := 0; v < nVerts && !anyAwake; v++ {
 			node := &net.nodes[v]
-			for _, m := range node.outbox {
-				if err := net.account(len(m.data)); err != nil && drainErr == nil {
-					// Keep draining: Metrics must reconcile with the trace
-					// even on the strict-cap error path.
-					drainErr = err
-				}
-				roundMsgs++
-				roundWords += int64(len(m.data))
-				delivered += net.deliver(round, node.id, m)
-			}
-			node.outbox = node.outbox[:0]
-			if node.awake && !node.halted && !net.inj.Crashed(int32(v), round) {
-				anyAwake = true
-			}
+			anyAwake = node.awake && !node.halted && !net.inj.Crashed(int32(v), round)
 		}
-		if roundMsgs == 0 && delivered == 0 && net.pendingCount == 0 && !anyAwake {
+		if t.messages == 0 && t.delivered == 0 && net.pendingCount == 0 && !anyAwake {
 			return net.Metrics(), nil
 		}
 		atomic.StoreInt64(&net.rounds, int64(round))
 		net.regRounds.Inc()
 		span.Event(obs.RoundEventName, obs.I("round", int64(round)),
-			obs.I(obs.AttrMessages, roundMsgs), obs.I(obs.AttrWords, roundWords))
+			obs.I(obs.AttrMessages, t.messages), obs.I(obs.AttrWords, t.words))
 		if net.cfg.TraceRounds {
-			net.trace = append(net.trace, RoundStats{Round: round, Messages: roundMsgs, Words: roundWords})
+			net.trace = append(net.trace, RoundStats{Round: round, Messages: t.messages, Words: t.words})
 		}
-		if drainErr != nil {
-			return net.Metrics(), drainErr
+		if t.err != nil {
+			return net.Metrics(), t.err
 		}
-		if delivered == 0 {
+		if t.delivered == 0 {
 			stallStreak++
 			if net.cfg.StallRounds > 0 && stallStreak >= net.cfg.StallRounds {
 				return net.Metrics(), &RunError{Node: NoNode, Round: round, Cause: ErrStalled}
@@ -555,25 +572,27 @@ func (net *Network) Run() (Metrics, error) {
 		} else {
 			stallStreak = 0
 		}
-		// Step: run handlers for nodes with input or wake-ups.
-		tasks := make([]nodeTask, 0, nVerts)
+		// Step: run handlers for nodes with input or wake-ups; their sends
+		// go to the other arena while this round's inboxes view this one.
+		net.wp ^= 1
+		net.bufs.resetSegments(net.wp)
+		tasks := net.bufs.tasks[:0]
 		for v := 0; v < nVerts; v++ {
 			node := &net.nodes[v]
-			inbox := net.inboxes[v]
-			net.inboxes[v] = nil
 			if node.halted || net.handlers[v] == nil {
 				continue
 			}
 			if net.inj.Crashed(int32(v), round) {
 				continue // down this round; awake survives for recovery
 			}
+			inbox := net.bufs.inbox(v)
 			if len(inbox) == 0 && !node.awake {
 				continue
 			}
 			node.awake = false
-			sort.SliceStable(inbox, func(i, j int) bool { return inbox[i].From < inbox[j].From })
 			tasks = append(tasks, nodeTask{v: v, inbox: inbox})
 		}
+		net.bufs.tasks = tasks
 		net.dispatch(tasks)
 		if err := net.takeRunErr(); err != nil {
 			return net.Metrics(), err
@@ -581,32 +600,121 @@ func (net *Network) Run() (Metrics, error) {
 	}
 }
 
-// deliver applies the fault plan to one drained message and returns how
-// many copies landed in an inbox this round.
-func (net *Network) deliver(round int, from NodeID, m outMsg) int {
-	msg := Message{From: from, Data: m.data}
+// roundTally is one round's delivery: the sends it accounted, the copies
+// that reached an inbox, and the strict-cap error if one was hit.
+type roundTally struct {
+	messages, words int64
+	maxWords        int64
+	capExceeded     int64
+	delivered       int
+	err             error
+}
+
+// deliver drains the last step's sends (and the delayed messages due this
+// round) into this round's inboxes and publishes the round's accounting
+// once. Serial and in sender order, so fault fates are drawn in the same
+// order under every execution mode.
+func (net *Network) deliver(round int) roundTally {
+	var t roundTally
+	b := net.bufs
+	segs := b.segs[net.wp]
 	if net.inj == nil {
-		net.inboxes[m.to] = append(net.inboxes[m.to], msg)
-		return 1
+		for s := range segs {
+			for _, o := range segs[s].out {
+				net.tally(&t, o.n)
+			}
+		}
+		t.delivered = int(t.messages)
+		b.fillFromSegments(segs)
+		net.publish(t)
+		return t
 	}
+	deliv := b.deliv[:0]
+	if net.pendingCount > 0 {
+		if due := net.pending[round]; len(due) > 0 {
+			delete(net.pending, round)
+			net.pendingCount -= len(due)
+			for _, d := range due {
+				if net.inj.Crashed(int32(d.to), round) {
+					atomic.AddInt64(&net.fDroppedCrash, 1)
+					net.regFaults.Inc()
+					continue
+				}
+				deliv = append(deliv, d)
+			}
+		}
+	}
+	for s := range segs {
+		seg := &segs[s]
+		for _, o := range seg.out {
+			net.tally(&t, o.n)
+			end := o.off + int(o.n)
+			deliv = net.deliverFaulty(deliv, round, o.to, Message{From: o.from, Data: seg.words[o.off:end:end]})
+		}
+	}
+	b.deliv = deliv
+	t.delivered = len(deliv)
+	b.fillFromDeliveries(deliv)
+	net.publish(t)
+	return t
+}
+
+// tally accounts one sent message of n words and applies the cap. A
+// strict-cap violation is recorded, not returned, so the round keeps
+// draining and Metrics reconcile with the trace on that error path too.
+func (net *Network) tally(t *roundTally, n int32) {
+	words := int64(n)
+	t.messages++
+	t.words += words
+	t.maxWords = max(t.maxWords, words)
+	if limit := int64(net.cfg.MaxMsgWords); limit > 0 && words > limit {
+		t.capExceeded++
+		if net.cfg.Strict && t.err == nil {
+			t.err = fmt.Errorf("distsim: message of %d words exceeds cap %d", words, limit)
+		}
+	}
+}
+
+// publish adds one round's tallies to the live metric cells.
+func (net *Network) publish(t roundTally) {
+	if t.messages == 0 {
+		return
+	}
+	atomic.AddInt64(&net.messages, t.messages)
+	atomic.AddInt64(&net.words, t.words)
+	if t.maxWords > atomic.LoadInt64(&net.maxMsgWords) {
+		atomic.StoreInt64(&net.maxMsgWords, t.maxWords)
+	}
+	net.regMessages.Add(t.messages)
+	net.regWords.Add(t.words)
+	net.regMaxMsg.SetMax(t.maxWords)
+	if t.capExceeded > 0 {
+		atomic.AddInt64(&net.capExceeded, t.capExceeded)
+		net.regCapExceeded.Add(t.capExceeded)
+	}
+}
+
+// deliverFaulty applies the fault plan to one drained message, appending
+// the copies that land this round to deliv.
+func (net *Network) deliverFaulty(deliv []pendingMsg, round int, to NodeID, msg Message) []pendingMsg {
 	switch {
-	case net.inj.LinkFailed(int32(from), int32(m.to)):
+	case net.inj.LinkFailed(int32(msg.From), int32(to)):
 		atomic.AddInt64(&net.fDroppedLink, 1)
 		net.regFaults.Inc()
-		return 0
-	case net.inj.Crashed(int32(m.to), round):
+		return deliv
+	case net.inj.Crashed(int32(to), round):
 		atomic.AddInt64(&net.fDroppedCrash, 1)
 		net.regFaults.Inc()
-		return 0
+		return deliv
 	}
 	fate := net.inj.Fate()
 	if fate.Drop {
 		atomic.AddInt64(&net.fDropped, 1)
 		net.regFaults.Inc()
-		return 0
+		return deliv
 	}
 	if fate.Corrupt {
-		msg.Data = net.inj.CorruptWord(m.data)
+		msg.Data = net.inj.CorruptWord(msg.Data)
 		atomic.AddInt64(&net.fCorrupted, 1)
 		net.regFaults.Inc()
 	}
@@ -620,17 +728,19 @@ func (net *Network) deliver(round int, from NodeID, m outMsg) int {
 		if net.pending == nil {
 			net.pending = make(map[int][]pendingMsg)
 		}
+		// The arena the payload lives in is recycled before the due round.
+		msg.Data = slices.Clone(msg.Data)
 		due := round + fate.DelayRounds
 		for c := 0; c < fate.Copies; c++ {
-			net.pending[due] = append(net.pending[due], pendingMsg{to: m.to, msg: msg})
+			net.pending[due] = append(net.pending[due], pendingMsg{to: to, msg: msg})
 		}
 		net.pendingCount += fate.Copies
-		return 0
+		return deliv
 	}
 	for c := 0; c < fate.Copies; c++ {
-		net.inboxes[m.to] = append(net.inboxes[m.to], msg)
+		deliv = append(deliv, pendingMsg{to: to, msg: msg})
 	}
-	return fate.Copies
+	return deliv
 }
 
 // dispatch runs the tasks either on the worker pool or on the per-node
@@ -638,8 +748,10 @@ func (net *Network) deliver(round int, from NodeID, m outMsg) int {
 // round barrier).
 func (net *Network) dispatch(tasks []nodeTask) {
 	if net.cfg.GoroutinePerNode {
+		segs := net.bufs.segs[net.wp]
 		net.nodeWG.Add(len(tasks))
 		for _, t := range tasks {
+			net.nodes[t.v].seg = &segs[t.v]
 			net.taskIn[t.v] <- t
 		}
 		net.nodeWG.Wait()
@@ -715,14 +827,18 @@ func (net *Network) stopNodeGoroutines() {
 	net.taskIn = nil
 }
 
-// parallelTasks applies the tasks on the worker pool.
+// parallelTasks applies the tasks on the worker pool. Worker w takes the
+// w-th contiguous chunk and sends into segment w, so reading the segments
+// in order visits the senders in ascending order.
 func (net *Network) parallelTasks(tasks []nodeTask) {
+	segs := net.bufs.segs[net.wp]
 	workers := net.cfg.Workers
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	if workers <= 1 {
 		for _, t := range tasks {
+			net.nodes[t.v].seg = &segs[0]
 			net.runTask(t)
 		}
 		return
@@ -739,39 +855,15 @@ func (net *Network) parallelTasks(tasks []nodeTask) {
 			break
 		}
 		wg.Add(1)
-		go func(part []nodeTask) {
+		go func(part []nodeTask, seg *segment) {
 			defer wg.Done()
 			for _, t := range part {
+				net.nodes[t.v].seg = seg
 				net.runTask(t)
 			}
-		}(tasks[lo:hi])
+		}(tasks[lo:hi], &segs[w])
 	}
 	wg.Wait()
-}
-
-// account records one message of the given word count in the metrics and
-// enforces the cap. Accumulation is atomic so the cells stay consistent no
-// matter which goroutine observes them.
-func (net *Network) account(words int) error {
-	atomic.AddInt64(&net.messages, 1)
-	atomic.AddInt64(&net.words, int64(words))
-	for {
-		cur := atomic.LoadInt64(&net.maxMsgWords)
-		if int64(words) <= cur || atomic.CompareAndSwapInt64(&net.maxMsgWords, cur, int64(words)) {
-			break
-		}
-	}
-	net.regMessages.Inc()
-	net.regWords.Add(int64(words))
-	net.regMaxMsg.SetMax(int64(words))
-	if net.cfg.MaxMsgWords > 0 && words > net.cfg.MaxMsgWords {
-		atomic.AddInt64(&net.capExceeded, 1)
-		net.regCapExceeded.Inc()
-		if net.cfg.Strict {
-			return fmt.Errorf("distsim: message of %d words exceeds cap %d", words, net.cfg.MaxMsgWords)
-		}
-	}
-	return nil
 }
 
 // Metrics returns a snapshot of the metrics accumulated so far. It is safe

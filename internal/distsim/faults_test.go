@@ -190,7 +190,8 @@ func TestFaultCrashRecover(t *testing.T) {
 	}
 }
 
-// payloadKeeper broadcasts a shared payload slice and remembers it.
+// payloadKeeper broadcasts a shared payload slice and keeps a copy of
+// every payload it receives.
 type payloadKeeper struct {
 	payload []int64
 	got     [][]int64
@@ -204,7 +205,7 @@ func (p *payloadKeeper) Start(n *NodeCtx) {
 }
 func (p *payloadKeeper) HandleRound(n *NodeCtx, inbox []Message) {
 	for _, m := range inbox {
-		p.got = append(p.got, m.Data)
+		p.got = append(p.got, append([]int64(nil), m.Data...))
 	}
 	n.Halt()
 }

@@ -82,7 +82,8 @@ type TransportReporter interface {
 // unmodified on top of a batching transport.
 type SendInterceptor interface {
 	// InterceptSend observes one inner send. The neighbor check has already
-	// passed; data must not be modified.
+	// passed; data is the engine's copy of the payload, read-only and valid
+	// until the intercepting handler's Start or HandleRound returns.
 	InterceptSend(to NodeID, data []int64)
 	// InterceptHalt observes the inner handler halting.
 	InterceptHalt()

@@ -123,15 +123,7 @@ func (f *fibNode) send(n *distsim.NodeCtx, fresh []int32) {
 	for _, u := range fresh {
 		payload = append(payload, int64(u), int64(f.tokens[u].d))
 	}
-	for _, w := range n.Neighbors() {
-		f.sendCopy(n, w, payload)
-	}
-}
-
-// sendCopy sends payload to one neighbor (payloads are read-only after
-// construction, so sharing the backing array across sends is safe).
-func (f *fibNode) sendCopy(n *distsim.NodeCtx, to distsim.NodeID, payload []int64) {
-	n.SendWords(to, payload)
+	n.Broadcast(payload...)
 }
 
 // commit sends the first retrace step for ball member u and records the
@@ -411,6 +403,9 @@ func buildDistributed(g *graph.Graph, opts Options) (*DistributedResult, error) 
 		}
 	}
 
+	// One set of engine round buffers serves every wave.
+	bufs := new(distsim.Buffers)
+
 	// Parent waves: δ(·,V_i) within ℓ^{i-1} plus parent pointers; also the
 	// pruning distances for level i−1's ball wave.
 	dists := make([][]int32, o+2)
@@ -422,7 +417,8 @@ func buildDistributed(g *graph.Graph, opts Options) (*DistributedResult, error) 
 		pspan := span.Child("fib.parent",
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))),
 			obs.I("radius", r))
-		pcfg := distsim.Config{Faults: opts.Faults, Obs: opts.Obs, Parent: pspan}
+		pcfg := distsim.Config{Faults: opts.Faults, Obs: opts.Obs, Parent: pspan,
+			GoroutinePerNode: opts.goroutinePerNode, Buffers: bufs}
 		var pwrap func([]distsim.Handler) []distsim.Handler
 		var psess *reliable.Session
 		if opts.Reliable != nil {
@@ -495,7 +491,8 @@ func buildDistributed(g *graph.Graph, opts Options) (*DistributedResult, error) 
 		bspan := span.Child("fib.ball",
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))),
 			obs.I("radius", radius))
-		cfg := distsim.Config{MaxMsgWords: msgCap, Faults: opts.Faults, Obs: opts.Obs, Parent: bspan}
+		cfg := distsim.Config{MaxMsgWords: msgCap, Faults: opts.Faults, Obs: opts.Obs, Parent: bspan,
+			GoroutinePerNode: opts.goroutinePerNode, Buffers: bufs}
 		engineHandlers := handlers
 		var bsess *reliable.Session
 		if opts.Reliable != nil {
@@ -545,7 +542,8 @@ func buildDistributed(g *graph.Graph, opts Options) (*DistributedResult, error) 
 
 		cspan := span.Child("fib.commit",
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))))
-		ccfg := distsim.Config{MaxMsgWords: msgCap, Faults: opts.Faults, Obs: opts.Obs, Parent: cspan}
+		ccfg := distsim.Config{MaxMsgWords: msgCap, Faults: opts.Faults, Obs: opts.Obs, Parent: cspan,
+			GoroutinePerNode: opts.goroutinePerNode, Buffers: bufs}
 		engineHandlers = handlers
 		var csess *reliable.Session
 		if opts.Reliable != nil {

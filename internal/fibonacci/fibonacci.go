@@ -57,6 +57,10 @@ type Options struct {
 	// its partial spanner plus DistributedResult.Degradation instead of an
 	// error.
 	Degrade bool
+	// goroutinePerNode runs the distributed build's engine with one
+	// goroutine per vertex instead of the worker pool; the pinned-output
+	// tests check that nothing changes.
+	goroutinePerNode bool
 }
 
 func (o Options) withDefaults() Options {

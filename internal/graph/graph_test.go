@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -325,6 +326,61 @@ func TestBFSWithParentsMatchesMultiSource(t *testing.T) {
 			}
 			if len(queue) != reached {
 				t.Fatalf("trial %d src %d: BFSInto returned %d vertices, %d reached", trial, src, len(queue), reached)
+			}
+		}
+	}
+}
+
+// TestBFSComponentIntoMatchesBFSInto: stopping once the source's component
+// is fully queued changes nothing. On graphs with several components and
+// isolated vertices, from every source, BFSComponentInto and BFSInto give
+// the distances, parents and queue order of a search that scans every
+// queued vertex's neighbors.
+func TestBFSComponentIntoMatchesBFSInto(t *testing.T) {
+	fullScan := func(g *Graph, src int32) (dist, parent, order []int32) {
+		dist, parent = make([]int32, g.N()), make([]int32, g.N())
+		for i := range dist {
+			dist[i], parent[i] = Unreachable, Unreachable
+		}
+		dist[src], parent[src] = 0, src
+		order = []int32{src}
+		for head := 0; head < len(order); head++ {
+			u := order[head]
+			for _, v := range g.Neighbors(u) {
+				if dist[v] == Unreachable {
+					dist[v], parent[v] = dist[u]+1, u
+					order = append(order, v)
+				}
+			}
+		}
+		return dist, parent, order
+	}
+	rng := rand.New(rand.NewSource(21))
+	graphs := []*Graph{Gnp(1, 0, rng), Path(5), Grid(6, 4)}
+	for trial := 0; trial < 8; trial++ {
+		// Average degree about 1.5: many components, many isolated vertices.
+		graphs = append(graphs, Gnp(120, 1.5/120, rng))
+	}
+	for gi, g := range graphs {
+		labels, count := g.ConnectedComponents()
+		size := make([]int, count)
+		for _, c := range labels {
+			size[c]++
+		}
+		dist, parent := make([]int32, g.N()), make([]int32, g.N())
+		var queue []int32
+		for src := int32(0); int(src) < g.N(); src++ {
+			wantDist, wantParent, wantOrder := fullScan(g, src)
+			for _, kernel := range []string{"component", "full"} {
+				if kernel == "component" {
+					queue = g.BFSComponentInto(src, size[labels[src]], dist, parent, queue)
+				} else {
+					queue = g.BFSInto(src, dist, parent, queue)
+				}
+				if !slices.Equal(dist, wantDist) || !slices.Equal(parent, wantParent) ||
+					!slices.Equal(queue, wantOrder) {
+					t.Fatalf("graph %d src %d (%s kernel): dist/parent/order differ from a full scan", gi, src, kernel)
+				}
 			}
 		}
 	}

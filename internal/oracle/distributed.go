@@ -46,9 +46,7 @@ func (t *tzNode) forward(n *distsim.NodeCtx, fresh []int32) {
 	for _, w := range fresh {
 		payload = append(payload, int64(w), int64(t.tokens[w]))
 	}
-	for _, y := range n.Neighbors() {
-		n.SendWords(y, payload)
-	}
+	n.Broadcast(payload...)
 }
 
 func (t *tzNode) HandleRound(n *distsim.NodeCtx, inbox []distsim.Message) {
@@ -87,7 +85,7 @@ func NewDistributed(g *graph.Graph, k int, seed int64) (*Oracle, distsim.Metrics
 // NewDistributedObs is NewDistributed with per-level witness/flood spans and
 // engine round events emitted to ob (nil disables observability).
 func NewDistributedObs(g *graph.Graph, k int, seed int64, ob *obs.Observer) (*Oracle, distsim.Metrics, error) {
-	o, m, _, err := newDistributed(g, k, seed, ob, nil, nil)
+	o, m, _, err := newDistributed(g, k, seed, ob, nil, nil, false)
 	return o, m, err
 }
 
@@ -99,7 +97,7 @@ func NewDistributedObs(g *graph.Graph, k int, seed int64, ob *obs.Observer) (*Or
 // against the 2k−1 bound; the report is nil after a clean run.
 func NewDistributedReliable(g *graph.Graph, k int, seed int64, ob *obs.Observer,
 	plan *faults.Plan, pol reliable.Policy) (*Oracle, distsim.Metrics, *verify.DegradationReport, error) {
-	o, m, abandoned, err := newDistributed(g, k, seed, ob, plan, &pol)
+	o, m, abandoned, err := newDistributed(g, k, seed, ob, plan, &pol, false)
 	if err != nil {
 		return o, m, nil, err
 	}
@@ -121,7 +119,7 @@ func NewDistributedReliable(g *graph.Graph, k int, seed int64, ob *obs.Observer,
 func NewDistributedFT(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *faults.Plan, r *verify.Resilience) (*Oracle, distsim.Metrics, *verify.HealReport, error) {
 	var total distsim.Metrics
 	if r == nil {
-		o, m, _, err := newDistributed(g, k, seed, ob, plan, nil)
+		o, m, _, err := newDistributed(g, k, seed, ob, plan, nil, false)
 		return o, m, nil, err
 	}
 	bound := r.Bound(2*k - 1)
@@ -130,7 +128,7 @@ func NewDistributedFT(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan 
 		if attempt > 0 {
 			hr.Attempts++
 		}
-		o, m, _, err := newDistributed(g, k, seed, ob, plan, nil)
+		o, m, _, err := newDistributed(g, k, seed, ob, plan, nil, false)
 		total.Add(m)
 		if err != nil {
 			hr.RetryErrors = append(hr.RetryErrors, err.Error())
@@ -159,7 +157,8 @@ func NewDistributedFT(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan 
 // newDistributed is the construction shared by the public variants. With
 // pol non-nil every wave runs under the reliable transport (independent
 // per-wave jitter streams); the returned slice lists abandoned links.
-func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *faults.Plan, pol *reliable.Policy) (*Oracle, distsim.Metrics, [][2]int32, error) {
+// perNode runs every wave in the engine's goroutine-per-vertex mode.
+func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *faults.Plan, pol *reliable.Policy, perNode bool) (*Oracle, distsim.Metrics, [][2]int32, error) {
 	var total distsim.Metrics
 	var abandoned [][2]int32
 	if k < 1 {
@@ -195,11 +194,15 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		}
 	}
 
+	// One set of engine round buffers serves every wave.
+	bufs := new(distsim.Buffers)
+
 	// Witness waves: distributed multi-source BFS per level.
 	for i := 0; i < k; i++ {
 		wspan := span.Child("oracle.witness",
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))))
-		wcfg := distsim.Config{Faults: plan, Obs: ob, Parent: wspan}
+		wcfg := distsim.Config{Faults: plan, Obs: ob, Parent: wspan, GoroutinePerNode: perNode,
+			Buffers: bufs}
 		var wwrap func([]distsim.Handler) []distsim.Handler
 		var wsess *reliable.Session
 		if pol != nil {
@@ -253,7 +256,8 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		}
 		fspan := span.Child("oracle.flood",
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))))
-		fcfg := distsim.Config{Faults: plan, Obs: ob, Parent: fspan}
+		fcfg := distsim.Config{Faults: plan, Obs: ob, Parent: fspan, GoroutinePerNode: perNode,
+			Buffers: bufs}
 		engineHandlers := handlers
 		var fsess *reliable.Session
 		if pol != nil {

@@ -140,7 +140,9 @@ func (n *node) receive(m distsim.Message) {
 		if _, seen := lk.recvBuf[f.seq]; seen || f.seq <= lk.recvContig {
 			atomic.AddInt64(&n.stDupBatches, 1)
 		} else {
-			lk.recvBuf[f.seq] = f.payloads
+			// The wire words are valid only during this HandleRound; the
+			// batch waits for its virtual round, so it keeps a copy.
+			lk.recvBuf[f.seq] = clonePayloads(f.payloads)
 			for {
 				if _, ok := lk.recvBuf[lk.recvContig+1]; !ok {
 					break

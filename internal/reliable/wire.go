@@ -81,7 +81,8 @@ type batchFrame struct {
 }
 
 // decodeBatch parses a checksum-verified batch frame. The payload slices
-// alias the wire slice (which is never mutated after delivery).
+// alias the wire slice, so they are valid only while the wire message is
+// (see clonePayloads).
 func decodeBatch(w []int64) (batchFrame, bool) {
 	if len(w) < 6 {
 		return batchFrame{}, false
@@ -109,4 +110,19 @@ func decodeBatch(w []int64) (batchFrame, bool) {
 		return batchFrame{}, false
 	}
 	return f, true
+}
+
+// clonePayloads copies decoded payloads into one fresh backing array.
+func clonePayloads(ps [][]int64) [][]int64 {
+	size := 0
+	for _, p := range ps {
+		size += len(p)
+	}
+	words := make([]int64, 0, size)
+	out := make([][]int64, len(ps))
+	for i, p := range ps {
+		words = append(words, p...)
+		out[i] = words[len(words)-len(p) : len(words) : len(words)]
+	}
+	return out
 }

@@ -146,11 +146,16 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 	distL, nearestL, _ := g.MultiSourceBFS(s.landmarks)
 
 	// Landmark trees with DFS intervals: each tree's BFS writes its depth
-	// row and hands its queue order to the numbering.
+	// row and hands its queue order to the numbering. A search stops once
+	// the landmark's whole component is queued.
+	size := make([]int, count)
+	for _, c := range labels {
+		size[c]++
+	}
 	queue := make([]int32, 0, n)
 	for i, l := range s.landmarks {
 		tr := &s.trees[i]
-		queue = g.BFSInto(l, tr.depth, tr.parent, queue)
+		queue = g.BFSComponentInto(l, size[labels[l]], tr.depth, tr.parent, queue)
 		tr.number(queue)
 	}
 

@@ -112,3 +112,25 @@ func TestOracleAtScale(t *testing.T) {
 		}
 	}
 }
+
+// TestSkeletonBuildAllocs bounds the allocations of one distributed
+// skeleton build at servebench's shape (G(n,p), n=5000, average degree 16,
+// seed 3). Payloads live in the engine's round arenas, inboxes in one
+// array per round, and the buffers and the per-vertex protocol state are
+// reused from call to call, so a build makes about 23k allocations. One
+// heap payload per message would put it near 750k.
+func TestSkeletonBuildAllocs(t *testing.T) {
+	g, err := spanner.MakeWorkload("gnp", 5000, 16, spanner.NewRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := spanner.BuildSkeletonDistributed(g, spanner.SkeletonOptions{Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 150_000 {
+		t.Fatalf("BuildSkeletonDistributed at n=5000: %.0f allocations, want <= 150000", allocs)
+	}
+	t.Logf("BuildSkeletonDistributed at n=5000: %.0f allocations", allocs)
+}
