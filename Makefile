@@ -19,9 +19,11 @@ race:
 # The root benchmarks, including BenchmarkArtifactBuild and
 # BenchmarkDeltaApply (the cost of one generation rebuild at n=5000),
 # BenchmarkNewMaintainer (the dynamic maintainer's witness index at n=5000,
-# GOMAXPROCS 1 and 2) and BenchmarkSkeletonDistributed (the paper's
+# GOMAXPROCS 1 and 2), BenchmarkSkeletonDistributed (the paper's
 # distributed skeleton builder at servebench's shape; run it with -cpu 1,
-# allocs/op is the simulator's per-message cost).
+# allocs/op is the simulator's per-message cost) and BenchmarkSpannerPath
+# (path-query search on that skeleton, bidirectional against the one-sided
+# reference, with visited/op; run it with -cpu 1).
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -71,17 +73,21 @@ faultcheck:
 # The serving-layer gate: artifact codec, query engine and daemon tests
 # under the race detector, the root round-trip/hot-swap integration tests,
 # the flat oracle/routing tables and the delta patch against their map-based
-# references, and the unraced zero-allocation bars on Engine.Query,
-# oracle.Query and routing.NextHop.
+# references, the path-query kernel (graph.ShortestPath) against full-BFS
+# distances with its one-allocation bar, and the unraced allocation bars on
+# Engine.Query (0 for dist, 1 for an uncached path), oracle.Query and
+# routing.NextHop.
 serve:
 	$(GO) vet ./internal/artifact/... ./internal/serve/... ./cmd/spannerd/... \
-		./internal/oracle/... ./internal/routing/... ./internal/flatmap/...
+		./internal/oracle/... ./internal/routing/... ./internal/flatmap/... \
+		./internal/graph/...
 	$(GO) test -race ./internal/artifact/... ./internal/serve/... ./cmd/spannerd/...
 	$(GO) test -run 'Serve|Artifact' -race .
 	$(GO) test -race -count=1 ./internal/flatmap/
 	$(GO) test -run 'MatchesMapReference|DecodeNumberingMatchesReference' -race -count=1 \
 		./internal/oracle/ ./internal/routing/ ./internal/artifact/
-	$(GO) test -run ZeroAlloc -count=1 ./internal/serve ./internal/oracle ./internal/routing
+	$(GO) test -run ShortestPath -race -count=1 ./internal/graph/
+	$(GO) test -run 'ZeroAlloc|PathQueryOneAlloc' -count=1 ./internal/serve ./internal/oracle ./internal/routing
 
 # The dynamic-updates gate: maintainer, update-stream/log and delta-codec
 # tests under the race detector (including the delta-apply/LRU-eviction

@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1240,6 +1241,95 @@ func BenchmarkSkeletonDistributed(b *testing.B) {
 		}
 		sinkSkeleton = res
 	}
+}
+
+var sinkPath []int32
+
+// Point-to-point path queries on the skeleton at servebench's shape (G(n,p)
+// at n=5000, average degree 16, seed 3), the evaluation behind a path
+// reply: 4096 uniform pairs u != v, one query per op. "bidirectional" is
+// Graph.ShortestPath on a reused scratch; "one-sided" is the early-exit
+// single-source BFS it replaced, kept here as the reference. visited/op is
+// the vertices each search discovers. Run with -cpu 1.
+func BenchmarkSpannerPath(b *testing.B) {
+	g, err := MakeWorkload("gnp", 5000, 16, NewRand(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := BuildSkeletonDistributed(g, SkeletonOptions{Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sg := res.Spanner.ToGraph(g.N())
+	rng := NewRand(3)
+	pairs := make([][2]int32, 4096)
+	for i := range pairs {
+		for pairs[i][0] == pairs[i][1] {
+			pairs[i] = [2]int32{rng.Int31n(int32(g.N())), rng.Int31n(int32(g.N()))}
+		}
+	}
+	b.Run("bidirectional", func(b *testing.B) {
+		var s graph.PathScratch
+		visited := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			sinkPath = sg.ShortestPath(p[0], p[1], &s)
+			visited += s.Visited()
+		}
+		b.ReportMetric(float64(visited)/float64(b.N), "visited/op")
+	})
+	b.Run("one-sided", func(b *testing.B) {
+		dist, parent := sg.NewDistScratch(), make([]int32, sg.N())
+		var queue []int32
+		visited := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := pairs[i%len(pairs)]
+			sinkPath, queue = oneSidedPath(sg, p[0], p[1], dist, parent, queue)
+			visited += len(queue) + 1
+		}
+		b.ReportMetric(float64(visited)/float64(b.N), "visited/op")
+	})
+}
+
+// oneSidedPath is the reference for BenchmarkSpannerPath: a BFS from u with
+// first-discovery parents that stops once v is discovered, then walks v
+// back to u. dist must be all Unreachable and is left so; the returned
+// queue holds the vertices enqueued (v excluded) for reuse.
+func oneSidedPath(g *Graph, u, v int32, dist, parent, queue []int32) ([]int32, []int32) {
+	dist[u], parent[u] = 0, u
+	queue = append(queue[:0], u)
+	found := false
+	for head := 0; head < len(queue) && !found; head++ {
+		x := queue[head]
+		for _, y := range g.Neighbors(x) {
+			if dist[y] != Unreachable {
+				continue
+			}
+			dist[y], parent[y] = dist[x]+1, x
+			if y == v {
+				found = true
+				break
+			}
+			queue = append(queue, y)
+		}
+	}
+	var path []int32
+	if found {
+		for x := v; ; x = parent[x] {
+			path = append(path, x)
+			if x == u {
+				break
+			}
+		}
+		slices.Reverse(path)
+	}
+	graph.ResetDistScratch(dist, queue)
+	dist[v] = Unreachable
+	return path, queue
 }
 
 var sinkMaintainer *DynamicMaintainer

@@ -195,11 +195,3 @@ func PathTo(parent []int32, v int32) []int32 {
 	}
 	return path
 }
-
-// Dist computes the single-pair distance between u and v, or Unreachable.
-func (g *Graph) Dist(u, v int32) int32 {
-	if u == v {
-		return 0
-	}
-	return g.BFS(u)[v]
-}

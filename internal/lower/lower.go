@@ -195,7 +195,7 @@ func (f *Fixture) DiscardExperiment(c float64, rng *rand.Rand) (*ExperimentResul
 
 	res.DistG = f.SpineDistance()
 	h := keep.ToGraph(f.G.N())
-	res.DistH = h.BFS(f.SpineU)[f.SpineV]
+	res.DistH = h.Dist(f.SpineU, f.SpineV)
 	res.Additive = res.DistH - res.DistG
 	res.PredictedDistH = float64(res.DistG) * (1 + 2*p/float64(f.Tau+2))
 	return res, nil
@@ -247,11 +247,11 @@ func (f *Fixture) AveragePairExperiment(c float64, pairs int, rng *rand.Rand) (*
 		if u == v {
 			continue
 		}
-		dg := f.G.BFS(u)[v]
+		dg := f.G.Dist(u, v)
 		if dg == graph.Unreachable {
 			continue
 		}
-		dh := h.BFS(u)[v]
+		dh := h.Dist(u, v)
 		res.Pairs++
 		res.AvgAdditive += float64(dh - dg)
 		res.AvgDist += float64(dg)

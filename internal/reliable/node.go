@@ -30,6 +30,7 @@ type node struct {
 	lastBeat  int64  // tick of the last heartbeat broadcast
 
 	capture map[distsim.NodeID][][]int64 // inner sends of the current invocation
+	ctl     controlFrame                 // ack/heartbeat scratch, copied by SendWords
 
 	// Ledger cells (atomic: Session.TransportStats reads them while the
 	// engine barrier has other wrappers running).
@@ -50,7 +51,7 @@ type node struct {
 type link struct {
 	// Sender side: batches sent but not yet covered by a cumulative ack,
 	// in seq order.
-	pending []*pendingBatch
+	pending []pendingBatch
 	// Receiver side: out-of-order buffer and the cumulative high-water mark
 	// (every batch with seq <= recvContig has been received).
 	recvBuf    map[int64][][]int64
@@ -152,7 +153,7 @@ func (n *node) receive(m distsim.Message) {
 		}
 		// Always (re-)ack: the previous ack may have been lost, and the
 		// sender retransmits until one lands.
-		n.ctx.SendWords(m.From, encodeAck(lk.recvContig))
+		n.ctx.SendWords(m.From, n.ctl.encode(tagAck, lk.recvContig))
 		atomic.AddInt64(&n.stAcks, 1)
 	case tagAck:
 		n.applyAck(lk, m.Data[1])
@@ -173,7 +174,10 @@ func (n *node) applyAck(lk *link, cumAck int64) {
 		i++
 	}
 	if i > 0 {
-		lk.pending = lk.pending[i:]
+		// Shift the survivors down so the slice keeps its capacity.
+		k := copy(lk.pending, lk.pending[i:])
+		clear(lk.pending[k:])
+		lk.pending = lk.pending[:k]
 	}
 }
 
@@ -200,7 +204,7 @@ func (n *node) heartbeat() {
 		return
 	}
 	n.lastBeat = n.tick
-	wire := encodeBeat(n.la)
+	wire := n.ctl.encode(tagBeat, n.la)
 	for _, w := range n.neighbors {
 		if !n.links[w].abandoned {
 			n.ctx.SendWords(w, wire)
@@ -263,7 +267,9 @@ func (n *node) executeVRound() {
 // invokeInner runs the inner handler (Start or HandleRound) under the send
 // interceptor, applying the engine's skip rules, and accounts activity.
 func (n *node) invokeInner(start bool, inbox []distsim.Message) {
-	n.capture = make(map[distsim.NodeID][][]int64)
+	if n.capture == nil {
+		n.capture = make(map[distsim.NodeID][][]int64)
+	}
 	if !n.innerHalted && (start || len(inbox) > 0 || n.innerAwake) {
 		n.innerAwake = false
 		n.ctx.SetInterceptor(n, n.sess.policy.InnerCap)
@@ -311,7 +317,7 @@ func (n *node) shipBatches() {
 		}
 		wire := encodeBatch(n.vr, n.la, lk.recvContig, n.capture[w])
 		rto := n.sess.policy.InitialRTO
-		lk.pending = append(lk.pending, &pendingBatch{
+		lk.pending = append(lk.pending, pendingBatch{
 			seq:  n.vr,
 			wire: wire,
 			rto:  rto,
@@ -319,7 +325,7 @@ func (n *node) shipBatches() {
 		})
 		n.ctx.SendWords(w, wire)
 	}
-	n.capture = nil
+	clear(n.capture)
 }
 
 // retransmit resends every due pending batch with exponential backoff, and
@@ -330,7 +336,8 @@ func (n *node) retransmit() {
 		if lk.abandoned {
 			continue
 		}
-		for _, p := range lk.pending {
+		for i := range lk.pending {
+			p := &lk.pending[i]
 			if p.due > n.tick {
 				continue
 			}

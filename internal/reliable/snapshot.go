@@ -114,7 +114,7 @@ func (n *node) Restore(state []int64) error {
 		lk.waitTicks = int(r.next())
 		nPend := int(r.next())
 		for j := 0; j < nPend; j++ {
-			p := &pendingBatch{seq: r.next(), retries: int(r.next()), rto: int(r.next()), due: r.next()}
+			p := pendingBatch{seq: r.next(), retries: int(r.next()), rto: int(r.next()), due: r.next()}
 			p.wire = append([]int64(nil), r.slice()...)
 			lk.pending = append(lk.pending, p)
 		}

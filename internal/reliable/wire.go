@@ -9,11 +9,15 @@ package reliable
 //
 //	batch: [tagBatch, seq, lastActive, cumAck, k, k×(len, words...), checksum]
 //	ack:   [tagAck, cumAck, checksum]
+//	beat:  [tagBeat, lastActive, checksum]
 //
 // seq is the batch's virtual round (batches on a link are born in seq
 // order, so it doubles as the per-link sequence number); cumAck is the
 // highest seq below which the sender has received every batch of the
-// reverse direction.
+// reverse direction. A heartbeat is a blocked node's sign of life: it
+// resets the receiver's patience timer, so a node stalled behind a dead
+// link is not mistaken for dead by its live neighbors (which would cascade
+// abandonment through healthy links).
 
 const (
 	tagBatch int64 = -1001
@@ -59,17 +63,15 @@ func encodeBatch(seq, lastActive, cumAck int64, payloads [][]int64) []int64 {
 	return seal(w)
 }
 
-// encodeAck builds a standalone cumulative acknowledgement.
-func encodeAck(cumAck int64) []int64 {
-	return seal([]int64{tagAck, cumAck})
-}
+// controlFrame is an ack or heartbeat frame, built in place: SendWords
+// copies its words, so one buffer per node serves every control send.
+type controlFrame [3]int64
 
-// encodeBeat builds a heartbeat: a blocked node's sign of life, carrying the
-// activity watermark. It resets the receiver's patience timer so a node
-// stalled behind a dead link is not mistaken for dead by its live neighbors
-// (which would cascade abandonment through healthy links).
-func encodeBeat(lastActive int64) []int64 {
-	return seal([]int64{tagBeat, lastActive})
+// encode fills f with [tag, word, checksum] and returns it as a slice.
+func (f *controlFrame) encode(tag, word int64) []int64 {
+	f[0], f[1] = tag, word
+	f[2] = fnvWords(f[:2])
+	return f[:]
 }
 
 // batchFrame is a decoded link batch.

@@ -310,7 +310,7 @@ type Engine struct {
 	drained   chan struct{}
 
 	// parts are the result-cache partitions (nil when caching is off);
-	// scratch pools path-query BFS state.
+	// scratch pools path-query search state (*graph.PathScratch).
 	parts   []cachePart
 	scratch sync.Pool
 
@@ -404,7 +404,7 @@ func New(a *artifact.Artifact, cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	e.scratch.New = func() any { return new(pathScratch) }
+	e.scratch.New = func() any { return new(graph.PathScratch) }
 
 	snap := newSnapshot(a)
 	snap.ID, e.snapSeq = 1, 1
@@ -785,8 +785,8 @@ func (e *Engine) evaluate(snap *Snapshot, req Request) cacheVal {
 			cv.dist = snap.Art.Oracle.Query(req.U, req.V)
 		}
 	case QueryPath:
-		ps := e.scratch.Get().(*pathScratch)
-		cv.path = snap.spannerPath(req.U, req.V, ps)
+		ps := e.scratch.Get().(*graph.PathScratch)
+		cv.path = snap.spanner.ShortestPath(req.U, req.V, ps)
 		e.scratch.Put(ps)
 		if cv.path == nil {
 			cv.dist = graph.Unreachable

@@ -327,6 +327,30 @@ func TestQueryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPathQueryOneAlloc holds an uncached path query to one allocation,
+// the reply's path slice: the search runs on pooled graph.PathScratch.
+func TestPathQueryOneAlloc(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector drops sync.Pool entries; asserted unraced in make serve")
+	}
+	a := testArtifact(t, 200, 12)
+	e, err := New(a, Config{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	req := Request{Type: QueryPath, U: 3, V: 77}
+	e.Query(req) // grows the pooled scratch
+	var r Reply
+	allocs := testing.AllocsPerRun(500, func() { r = e.Query(req) })
+	if r.Err != nil || len(r.Path) < 4 {
+		t.Fatalf("reply %+v, want a path of at least 3 hops", r)
+	}
+	if allocs != 1 {
+		t.Fatalf("uncached path query makes %v allocs/op, want 1", allocs)
+	}
+}
+
 func TestHotSwapInvalidatesCachesAndChangesAnswers(t *testing.T) {
 	a1 := testArtifact(t, 150, 7)
 	// Same graph, different oracle/routing seed: answers may differ, and the

@@ -20,7 +20,7 @@ type Snapshot struct {
 	Art *artifact.Artifact
 
 	// spanner is Art.Spanner materialized as a graph, the structure Path
-	// queries BFS over.
+	// queries search.
 	spanner *graph.Graph
 	// lmDist[t][v] is the distance from v to routing landmark t — the
 	// depth rows the scheme keeps from building or decoding its trees, so
@@ -126,79 +126,4 @@ func (s *Snapshot) ApproxDist(u, v int32) int32 {
 		b = rb
 	}
 	return b
-}
-
-// pathScratch is BFS state for Path queries, pooled across requests so the
-// steady-state hot path allocates only the result slice.
-type pathScratch struct {
-	dist   []int32
-	parent []int32
-	queue  []int32
-}
-
-func (ps *pathScratch) ensure(n int) {
-	if len(ps.dist) >= n {
-		return
-	}
-	ps.dist = make([]int32, n)
-	ps.parent = make([]int32, n)
-	for i := 0; i < n; i++ {
-		ps.dist[i] = graph.Unreachable
-	}
-	ps.queue = make([]int32, 0, 256)
-}
-
-// spannerPath computes the shortest u→v path inside the snapshot's spanner
-// by BFS with deterministic (first-discovery) parents, early-exiting once v
-// is settled. Returns nil when v is unreachable in the spanner. The scratch
-// arrays are reset via the reached list before returning.
-func (s *Snapshot) spannerPath(u, v int32, ps *pathScratch) []int32 {
-	if u == v {
-		return []int32{u}
-	}
-	g := s.spanner
-	ps.ensure(g.N())
-	dist, parent := ps.dist, ps.parent
-	queue := ps.queue[:0]
-	dist[u] = 0
-	parent[u] = u
-	queue = append(queue, u)
-	found := false
-	for head := 0; head < len(queue) && !found; head++ {
-		x := queue[head]
-		dx := dist[x]
-		for _, y := range g.Neighbors(x) {
-			if dist[y] != graph.Unreachable {
-				continue
-			}
-			dist[y] = dx + 1
-			parent[y] = x
-			if y == v {
-				found = true
-				break
-			}
-			queue = append(queue, y)
-		}
-	}
-	var path []int32
-	if found {
-		// Walk v back to u, then reverse in place.
-		for x := v; ; x = parent[x] {
-			path = append(path, x)
-			if x == u {
-				break
-			}
-		}
-		for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-			path[i], path[j] = path[j], path[i]
-		}
-	}
-	// Reset scratch for the next query (v may have been settled without
-	// being enqueued).
-	for _, x := range queue {
-		dist[x] = graph.Unreachable
-	}
-	dist[v] = graph.Unreachable
-	ps.queue = queue[:0]
-	return path
 }

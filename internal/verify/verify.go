@@ -214,8 +214,9 @@ func (r *Report) StretchHistogram() []int {
 	return h
 }
 
-// PairStretch measures the distortion of a single pair (exact BFS both ways).
+// PairStretch measures the distortion of a single pair (exact distances in
+// both graphs, by the single-pair search of graph.Dist).
 func PairStretch(g *graph.Graph, s *graph.EdgeSet, u, v int32) (dG, dS int32) {
 	sg := s.ToGraph(g.N())
-	return g.BFS(u)[v], sg.BFS(u)[v]
+	return g.Dist(u, v), sg.Dist(u, v)
 }
