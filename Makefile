@@ -18,6 +18,8 @@ race:
 
 # The root benchmarks, including BenchmarkArtifactBuild and
 # BenchmarkDeltaApply (the cost of one generation rebuild at n=5000),
+# BenchmarkRoutingBuild (the routing scheme alone at servebench's shape,
+# with landmark count and largest/mean table size; run it with -cpu 1),
 # BenchmarkNewMaintainer (the dynamic maintainer's witness index at n=5000,
 # GOMAXPROCS 1 and 2), BenchmarkSkeletonDistributed (the paper's
 # distributed skeleton builder at servebench's shape; run it with -cpu 1,
@@ -73,8 +75,10 @@ faultcheck:
 # The serving-layer gate: artifact codec, query engine and daemon tests
 # under the race detector, the root round-trip/hot-swap integration tests,
 # the flat oracle/routing tables and the delta patch against their map-based
-# references, the path-query kernel (graph.ShortestPath) against full-BFS
-# distances with its one-allocation bar, and the unraced allocation bars on
+# references, the routing scheme's landmark-tree kernel against
+# single-source BFS with its table-size skew bar, the path-query kernel
+# (graph.ShortestPath) against full-BFS distances with its one-allocation
+# bar, and the unraced allocation bars on
 # Engine.Query (0 for dist, 1 for an uncached path), oracle.Query and
 # routing.NextHop.
 serve:
@@ -86,6 +90,7 @@ serve:
 	$(GO) test -race -count=1 ./internal/flatmap/
 	$(GO) test -run 'MatchesMapReference|DecodeNumberingMatchesReference' -race -count=1 \
 		./internal/oracle/ ./internal/routing/ ./internal/artifact/
+	$(GO) test -run 'LandmarkTrees|TableSizeSkew' -race -count=1 ./internal/routing/
 	$(GO) test -run ShortestPath -race -count=1 ./internal/graph/
 	$(GO) test -run 'ZeroAlloc|PathQueryOneAlloc' -count=1 ./internal/serve ./internal/oracle ./internal/routing
 

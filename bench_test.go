@@ -1131,6 +1131,39 @@ func BenchmarkArtifactBuild(b *testing.B) {
 	}
 }
 
+var sinkRouting *RoutingScheme
+
+// The routing scheme alone at servebench's shape: G(n,p) at n=5000 with
+// average degree 16, seed 3 — the landmark trees (one bit-parallel BFS,
+// 64 landmarks per sweep) and the vicinity tables every generation
+// rebuilds. It reports the landmark count and the largest and mean
+// TableSize, which the tree parent rule moves. Run with -cpu 1.
+func BenchmarkRoutingBuild(b *testing.B) {
+	g, err := MakeWorkload("gnp", 5000, 16, NewRand(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := NewRoutingScheme(g, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkRouting = rs
+	}
+	b.StopTimer()
+	total, largest := 0, 0
+	for v := int32(0); int(v) < g.N(); v++ {
+		size := sinkRouting.TableSize(v)
+		total += size
+		largest = max(largest, size)
+	}
+	b.ReportMetric(float64(len(sinkRouting.Landmarks())), "landmarks")
+	b.ReportMetric(float64(largest), "max-table")
+	b.ReportMetric(float64(total)/float64(g.N()), "mean-table")
+}
+
 // Generation change: applying a 32-update delta to a base at n=5000 —
 // the patch, the base checksum check and the oracle/routing rebuild.
 func BenchmarkDeltaApply(b *testing.B) {

@@ -86,10 +86,10 @@ func TestGoldenBytes(t *testing.T) {
 		art  *Artifact
 		want string
 	}{
-		{"gnp", gnp, "1d94dfd407a70a12b81c51121e2dab2448e98ac1c84f882c4db44f9c371651b3"},
-		{"grid", gridArt, "39cc7d8d1ec96c2beeb43295bae3b016c950c684c0fd8c89d253bc7eda27855c"},
+		{"gnp", gnp, "8bc7c74110fd30ed2fee8678d13bb3d507df33288dd0e99264290188e1f21b87"},
+		{"grid", gridArt, "b18dd464068849e4ab725a47b484d46d70ee0d8bd7bf194095355ff4cc2fb98c"},
 		{"forest", forestArt, "8498e9a2190c121ddcd49f141ea385b6de14975f579be32c4ab50e152f6d15f1"},
-		{"delta-apply", applied, "c082a8cca3670fbd0ccdc052f4f9ff63c2804c4c78a5b2dc76245f0407d0f907"},
+		{"delta-apply", applied, "b80b2ad12439b87fcc0f816a95d95be788da71e3e4922c72a6face902c58d981"},
 	}
 	for _, c := range cases {
 		sum := sha256.Sum256(c.art.Marshal())

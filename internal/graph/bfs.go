@@ -28,22 +28,13 @@ func (g *Graph) BFSWithParents(src int32) (dist, parent []int32) {
 // returned slice holds the reached vertices in BFS order and can be passed
 // back in as the next call's queue.
 func (g *Graph) BFSInto(src int32, dist, parent, queue []int32) []int32 {
-	return g.BFSComponentInto(src, g.N(), dist, parent, queue)
-}
-
-// BFSComponentInto is BFSInto for a source whose connected component has
-// size vertices (ConnectedComponents gives it). The search stops scanning
-// adjacency lists once size vertices are queued: no later scan could
-// discover a vertex, so dist, parent and the returned order are exactly
-// BFSInto's.
-func (g *Graph) BFSComponentInto(src int32, size int, dist, parent, queue []int32) []int32 {
 	for i := range dist {
 		dist[i] = Unreachable
 		parent[i] = Unreachable
 	}
 	dist[src], parent[src] = 0, src
 	queue = append(queue[:0], src)
-	for head := 0; head < len(queue) && len(queue) < size; head++ {
+	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u] + 1
 		for _, v := range g.Neighbors(u) {

@@ -50,8 +50,11 @@ type node struct {
 // link is the per-neighbor reliable channel state.
 type link struct {
 	// Sender side: batches sent but not yet covered by a cumulative ack,
-	// in seq order.
+	// in seq order, with their wire images back to back in wires. Acks
+	// retire batches from the front, so the slab is compacted by one copy
+	// of the survivors and keeps its capacity.
 	pending []pendingBatch
+	wires   []int64
 	// Receiver side: out-of-order buffer and the cumulative high-water mark
 	// (every batch with seq <= recvContig has been received).
 	recvBuf    map[int64][][]int64
@@ -65,7 +68,7 @@ type link struct {
 // pendingBatch is one unacked batch awaiting retransmission or ack.
 type pendingBatch struct {
 	seq     int64
-	wire    []int64
+	words   int // length of its wire image in the link's slab
 	retries int
 	rto     int
 	due     int64 // tick at which the next resend fires
@@ -169,15 +172,15 @@ func (n *node) receive(m distsim.Message) {
 
 // applyAck retires every pending batch the cumulative ack covers.
 func (n *node) applyAck(lk *link, cumAck int64) {
-	i := 0
+	i, words := 0, 0
 	for i < len(lk.pending) && lk.pending[i].seq <= cumAck {
+		words += lk.pending[i].words
 		i++
 	}
 	if i > 0 {
-		// Shift the survivors down so the slice keeps its capacity.
-		k := copy(lk.pending, lk.pending[i:])
-		clear(lk.pending[k:])
-		lk.pending = lk.pending[:k]
+		// Shift the survivors down so both slices keep their capacity.
+		lk.pending = lk.pending[:copy(lk.pending, lk.pending[i:])]
+		lk.wires = lk.wires[:copy(lk.wires, lk.wires[words:])]
 	}
 }
 
@@ -315,15 +318,16 @@ func (n *node) shipBatches() {
 		if lk.abandoned {
 			continue
 		}
-		wire := encodeBatch(n.vr, n.la, lk.recvContig, n.capture[w])
+		start := len(lk.wires)
+		lk.wires = appendBatch(lk.wires, n.vr, n.la, lk.recvContig, n.capture[w])
 		rto := n.sess.policy.InitialRTO
 		lk.pending = append(lk.pending, pendingBatch{
-			seq:  n.vr,
-			wire: wire,
-			rto:  rto,
-			due:  n.tick + int64(rto) + n.jitter(),
+			seq:   n.vr,
+			words: len(lk.wires) - start,
+			rto:   rto,
+			due:   n.tick + int64(rto) + n.jitter(),
 		})
-		n.ctx.SendWords(w, wire)
+		n.ctx.SendWords(w, lk.wires[start:])
 	}
 	clear(n.capture)
 }
@@ -336,8 +340,11 @@ func (n *node) retransmit() {
 		if lk.abandoned {
 			continue
 		}
+		off := 0
 		for i := range lk.pending {
 			p := &lk.pending[i]
+			wire := lk.wires[off : off+p.words]
+			off += p.words
 			if p.due > n.tick {
 				continue
 			}
@@ -351,7 +358,7 @@ func (n *node) retransmit() {
 				p.rto = n.sess.policy.MaxRTO
 			}
 			p.due = n.tick + int64(p.rto) + n.jitter()
-			n.ctx.SendWords(w, p.wire)
+			n.ctx.SendWords(w, wire)
 			atomic.AddInt64(&n.stRetransmits, 1)
 		}
 	}
@@ -384,7 +391,7 @@ func (n *node) patience() bool {
 // session records it for the degradation report.
 func (n *node) abandon(w distsim.NodeID, lk *link) {
 	lk.abandoned = true
-	lk.pending = nil
+	lk.pending, lk.wires = nil, nil
 	lk.recvBuf = nil
 	n.sess.reportAbandoned(n.id, w)
 }

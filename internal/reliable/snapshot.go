@@ -53,9 +53,11 @@ func (n *node) Snapshot() []int64 {
 			lf |= 1
 		}
 		w = append(w, lf, lk.recvContig, int64(lk.waitTicks), int64(len(lk.pending)))
+		off := 0
 		for _, p := range lk.pending {
-			w = append(w, p.seq, int64(p.retries), int64(p.rto), p.due, int64(len(p.wire)))
-			w = append(w, p.wire...)
+			w = append(w, p.seq, int64(p.retries), int64(p.rto), p.due, int64(p.words))
+			w = append(w, lk.wires[off:off+p.words]...)
+			off += p.words
 		}
 		seqs := make([]int64, 0, len(lk.recvBuf))
 		for s := range lk.recvBuf {
@@ -115,7 +117,9 @@ func (n *node) Restore(state []int64) error {
 		nPend := int(r.next())
 		for j := 0; j < nPend; j++ {
 			p := pendingBatch{seq: r.next(), retries: int(r.next()), rto: int(r.next()), due: r.next()}
-			p.wire = append([]int64(nil), r.slice()...)
+			wire := r.slice()
+			p.words = len(wire)
+			lk.wires = append(lk.wires, wire...)
 			lk.pending = append(lk.pending, p)
 		}
 		nBuf := int(r.next())

@@ -37,9 +37,6 @@ func fnvWords(words []int64) int64 {
 	return int64(h)
 }
 
-// seal appends the checksum footer.
-func seal(w []int64) []int64 { return append(w, fnvWords(w)) }
-
 // checksumOK verifies the footer of a received frame.
 func checksumOK(w []int64) bool {
 	if len(w) < 2 {
@@ -48,19 +45,15 @@ func checksumOK(w []int64) bool {
 	return fnvWords(w[:len(w)-1]) == w[len(w)-1]
 }
 
-// encodeBatch builds the wire image of one link batch.
-func encodeBatch(seq, lastActive, cumAck int64, payloads [][]int64) []int64 {
-	size := 5
+// appendBatch appends the wire image of one link batch to dst.
+func appendBatch(dst []int64, seq, lastActive, cumAck int64, payloads [][]int64) []int64 {
+	start := len(dst)
+	dst = append(dst, tagBatch, seq, lastActive, cumAck, int64(len(payloads)))
 	for _, p := range payloads {
-		size += 1 + len(p)
+		dst = append(dst, int64(len(p)))
+		dst = append(dst, p...)
 	}
-	w := make([]int64, 0, size+1)
-	w = append(w, tagBatch, seq, lastActive, cumAck, int64(len(payloads)))
-	for _, p := range payloads {
-		w = append(w, int64(len(p)))
-		w = append(w, p...)
-	}
-	return seal(w)
+	return append(dst, fnvWords(dst[start:]))
 }
 
 // controlFrame is an ack or heartbeat frame, built in place: SendWords

@@ -143,9 +143,9 @@ func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	// Rebuild the DFS intervals as New does: a BFS from each root over its
-	// child lists gives the order the numbering wants and writes the depth
-	// row in the same pass.
+	// Rebuild the DFS intervals with New's numbering: a BFS from each root
+	// over its ascending child lists gives an order the numbering takes
+	// and writes the depth row in the same pass.
 	var kids childLists
 	queue := make([]int32, 0, n)
 	for i, l := range s.landmarks {

@@ -10,10 +10,10 @@ import (
 )
 
 // refScheme is the routing scheme the flat layout replaced: one Go map
-// per vicinity table, a map from landmark to tree, trees numbered by a
-// stack DFS, and landmark distances derived by walking parent pointers.
-// It is kept as the reference the flat scheme must match hop for hop and
-// word for word.
+// per vicinity table, a map from landmark to tree, tree parents derived
+// from single-source BFS distances, trees numbered by a stack DFS, and
+// landmark distances derived by walking parent pointers. It is kept as the
+// reference the flat scheme must match hop for hop and word for word.
 type refScheme struct {
 	g           *graph.Graph
 	landmarks   []int32
@@ -63,7 +63,7 @@ func newRefScheme(g *graph.Graph, seed int64) *refScheme {
 	distL, nearestL, _ := g.MultiSourceBFS(s.landmarks)
 	s.trees = make([]refTree, len(s.landmarks))
 	for i, l := range s.landmarks {
-		_, s.trees[i].parent = g.BFSWithParents(l)
+		s.trees[i].parent = refParents(g, l)
 		s.trees[i].index(l)
 	}
 	for v := int32(0); int(v) < n; v++ {
@@ -105,6 +105,34 @@ func newRefScheme(g *graph.Graph, seed int64) *refScheme {
 		graph.ResetDistScratch(scratchDist, reached)
 	}
 	return s
+}
+
+// refParents derives root's tree from g.BFS distances by the scheme's
+// parent rule: each vertex's parent is its first neighbour one level
+// closer to root, scanning its sorted neighbour list cyclically from index
+// v mod deg(v). root is its own parent; unreached vertices get
+// graph.Unreachable.
+func refParents(g *graph.Graph, root int32) []int32 {
+	dist := g.BFS(root)
+	parent := make([]int32, len(dist))
+	for v := range parent {
+		parent[v] = graph.Unreachable
+		if int32(v) == root {
+			parent[v] = root
+			continue
+		}
+		if dist[v] == graph.Unreachable {
+			continue
+		}
+		ns := g.Neighbors(int32(v))
+		for k := range ns {
+			if x := ns[(v+k)%len(ns)]; dist[x] == dist[v]-1 {
+				parent[v] = x
+				break
+			}
+		}
+	}
+	return parent
 }
 
 func (tr *refTree) index(root int32) {

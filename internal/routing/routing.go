@@ -16,6 +16,16 @@
 //   - for each landmark's BFS tree: its parent, its DFS interval and its
 //     children's intervals (amortized O(1) per tree).
 //
+// Trees. Each landmark's tree is a shortest-path tree: a vertex's parent
+// is its first neighbour one level closer to the landmark, scanning its
+// sorted neighbour list cyclically from index v mod deg(v). The start
+// depends only on v, so one scan serves every tree a sweep builds (see
+// landmarkTrees), and rotating it spreads children over a vertex's closer
+// neighbours. Starting every scan at index 0 (the lowest-id rule) would
+// make low-id vertices the parents of most of their neighbours in every
+// tree: on G(n,p) at n=5000 the largest table grows from 1.9× the mean to
+// 3.9×. Children are numbered depth-first in ascending id.
+//
 // The address of w is (w, ℓ_w, dfs_w), where dfs_w is w's DFS index in its
 // own landmark's tree. Routing from v to w: if some table on the way knows
 // w directly, follow those shortest-path hops; otherwise head to ℓ_w and
@@ -145,19 +155,17 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 	// δ(·,L) and each vertex's own landmark.
 	distL, nearestL, _ := g.MultiSourceBFS(s.landmarks)
 
-	// Landmark trees with DFS intervals: each tree's BFS writes its depth
-	// row and hands its queue order to the numbering. A search stops once
-	// the landmark's whole component is queued.
+	// Landmark trees with DFS intervals, 64 landmarks per sweep. A search
+	// stops once the landmark's whole component is reached.
 	size := make([]int, count)
 	for _, c := range labels {
 		size[c]++
 	}
-	queue := make([]int32, 0, n)
+	reach := make([]int, len(s.landmarks))
 	for i, l := range s.landmarks {
-		tr := &s.trees[i]
-		queue = g.BFSComponentInto(l, size[labels[l]], tr.depth, tr.parent, queue)
-		tr.number(queue)
+		reach[i] = size[labels[l]]
 	}
+	landmarkTrees(g, s.landmarks, s.trees, reach)
 
 	for v := int32(0); int(v) < n; v++ {
 		lv := nearestL[v]
@@ -207,47 +215,6 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 	}
 	s.direct = flatmap.FromStaged(n, stage)
 	return s, nil
-}
-
-// number computes the DFS numbering and subtree intervals [dfs, end] from
-// order, the tree's vertices root first, where each vertex's children
-// follow the children of the vertices before it, in ascending vertex
-// order — a FIFO BFS's queue, since a vertex's children are the vertices
-// its adjacency scan enters. Subtree sizes accumulate in reverse order;
-// then each vertex hands its children consecutive preorder ranges. That
-// is the numbering a depth-first walk visiting children in ascending order
-// gives. Vertices outside order get graph.Unreachable. The tree's arrays
-// must be fresh from the slab: end doubles as the size accumulator, which
-// starts at zero.
-func (tr *tree) number(order []int32) {
-	size := tr.end // end[v] is derived from size[v] once v's range is set
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		size[v]++
-		if i > 0 {
-			size[tr.parent[v]] += size[v]
-		}
-	}
-	if len(order) < len(tr.dfs) {
-		for v := range tr.dfs {
-			tr.dfs[v] = graph.Unreachable
-			if size[v] == 0 {
-				tr.end[v] = graph.Unreachable
-			}
-		}
-	}
-	tr.dfs[order[0]] = 0
-	kid := 1 // order[kid] is the next vertex to get its range
-	for _, v := range order {
-		next := tr.dfs[v] + 1
-		for ; kid < len(order) && tr.parent[order[kid]] == v; kid++ {
-			c := order[kid]
-			tr.dfs[c] = next
-			next += size[c]
-		}
-		tr.pre[tr.dfs[v]] = v
-		tr.end[v] = tr.dfs[v] + size[v] - 1
-	}
 }
 
 // childCount returns the number of v's children.
