@@ -25,7 +25,10 @@ race:
 # distributed skeleton builder at servebench's shape; run it with -cpu 1,
 # allocs/op is the simulator's per-message cost) and BenchmarkSpannerPath
 # (path-query search on that skeleton, bidirectional against the one-sided
-# reference, with visited/op; run it with -cpu 1).
+# reference, with visited/op; run it with -cpu 1). The landmark trees, the
+# witness index and spanner verification share graph's multi-source BFS
+# kernel; BenchmarkViolatedEdges in internal/verify times verification of
+# that skeleton against the per-vertex reference (run it with -cpu 1,2).
 bench:
 	$(GO) test -bench=. -benchmem .
 
@@ -52,8 +55,10 @@ vet: fmtcheck
 # self-healing, reliable-transport and checkpoint/resume test under the
 # race detector, the simulator's pinned outputs (rounds, messages, words,
 # max words and output hashes of every distributed builder, both execution
-# modes, 1, 2 and 4 workers), plus short fuzz passes over the fault-plan
-# space and the reliable link protocol.
+# modes, 1, 2 and 4 workers), spanner verification (ViolatedEdges on
+# graph's multi-source BFS kernel) against its per-vertex BFS reference at
+# 1, 2 and 4 workers, plus short fuzz passes over the fault-plan space and
+# the reliable link protocol.
 faultcheck:
 	gofmt -l internal/reliable internal/verify internal/distsim internal/core | \
 		{ ! grep .; } || { echo "gofmt needed (see above)" >&2; exit 1; }
@@ -63,6 +68,7 @@ faultcheck:
 		./internal/reliable/... ./internal/core/... .
 	$(GO) test -run PinnedOutputs -race -count=1 -cpu 1,2,4 \
 		./internal/distsim/ ./internal/core/ ./internal/fibonacci/ ./internal/oracle/
+	$(GO) test -run ViolatedEdges -race -count=1 -cpu 1,2,4 ./internal/verify/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faults
 	$(GO) test -fuzz=FuzzReliableLink -fuzztime=10s ./internal/reliable
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=10s ./internal/artifact
@@ -75,10 +81,11 @@ faultcheck:
 # The serving-layer gate: artifact codec, query engine and daemon tests
 # under the race detector, the root round-trip/hot-swap integration tests,
 # the flat oracle/routing tables and the delta patch against their map-based
-# references, the routing scheme's landmark-tree kernel against
-# single-source BFS with its table-size skew bar, the path-query kernel
-# (graph.ShortestPath) against full-BFS distances with its one-allocation
-# bar, and the unraced allocation bars on
+# references, the routing scheme's landmark trees against single-source
+# BFS with their table-size skew bar, graph's multi-source BFS kernel
+# against single-source BFS, the path-query kernel (graph.ShortestPath)
+# against full-BFS distances with its one-allocation bar, and the unraced
+# allocation bars on
 # Engine.Query (0 for dist, 1 for an uncached path), oracle.Query and
 # routing.NextHop.
 serve:
@@ -91,19 +98,21 @@ serve:
 	$(GO) test -run 'MatchesMapReference|DecodeNumberingMatchesReference' -race -count=1 \
 		./internal/oracle/ ./internal/routing/ ./internal/artifact/
 	$(GO) test -run 'LandmarkTrees|TableSizeSkew' -race -count=1 ./internal/routing/
-	$(GO) test -run ShortestPath -race -count=1 ./internal/graph/
+	$(GO) test -run 'ShortestPath|MSBFS' -race -count=1 ./internal/graph/
 	$(GO) test -run 'ZeroAlloc|PathQueryOneAlloc' -count=1 ./internal/serve ./internal/oracle ./internal/routing
 
 # The dynamic-updates gate: maintainer, update-stream/log and delta-codec
 # tests under the race detector (including the delta-apply/LRU-eviction
-# regression race in internal/serve), the witness-index kernel against its
-# per-vertex BFS reference at 1, 2 and 4 workers, plus the root acceptance
-# tests: per-batch bound maintenance, byte-identical delta round trips, and
-# /update under concurrent load.
+# regression race in internal/serve), the witness index against its
+# per-vertex BFS reference and graph's multi-source BFS kernel under it
+# against single-source BFS, both at 1, 2 and 4 workers, plus the root
+# acceptance tests: per-batch bound maintenance, byte-identical delta round
+# trips, and /update under concurrent load.
 dynamic:
 	$(GO) vet ./internal/dynamic/... ./internal/artifact/... ./internal/serve/...
 	$(GO) test -race ./internal/dynamic/... ./internal/artifact/...
 	$(GO) test -race -cpu 1,2,4 -run KernelMatchesReference ./internal/dynamic/
+	$(GO) test -race -cpu 1,2,4 -run MSBFS ./internal/graph/
 	$(GO) test -run 'Delta|Update' -race ./internal/serve/... ./cmd/spannerd/...
 	$(GO) test -run 'Dynamic|Delta|Churn' -race .
 

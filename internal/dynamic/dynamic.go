@@ -22,10 +22,11 @@
 // The witness index is built whole only at construction and after a full
 // rebuild. At the bound a skeleton's stretch implies (13–18 at n = 5000) a
 // witness search covers most of the spanner, so the build is an all-pairs
-// BFS in all but name. It runs as one multi-source, bit-parallel BFS kernel
+// BFS in all but name. It runs as verify.Certify, the forward-edge
+// certificate sweep on graph's multi-source, bit-parallel BFS kernel
 // (MS-BFS): 64 searches share each pass over a vertex's spanner neighbours,
 // for O(⌈n/64⌉·L·(n+|S|)) time at depth L, and the 64-source sweeps are
-// spread over runtime.GOMAXPROCS(0) workers. The same kernel derives the
+// spread over runtime.GOMAXPROCS(0) workers. The same sweep derives the
 // bound (DeriveBound) and picks exactly the witness paths a per-vertex BFS
 // would.
 //
@@ -36,6 +37,7 @@ package dynamic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -234,10 +236,10 @@ type Maintainer struct {
 // (the caller's graph and edge set are never mutated).
 //
 // Validation, the bound derivation (when Config.Bound ≤ 0) and the witness
-// index are one run of the multi-source BFS kernel: O(⌈n/64⌉·L·(n+|S|))
+// index are one run of verify.Certify: O(⌈n/64⌉·L·(n+|S|))
 // time for spanner depth L (the bound, or the worst edge stretch when
 // derived), on runtime.GOMAXPROCS(0) workers, each holding O(n) words of
-// scratch plus 64 distances per vertex.
+// scratch.
 func NewMaintainer(g *graph.Graph, spanner *graph.EdgeSet, cfg Config) (*Maintainer, error) {
 	if g == nil || spanner == nil {
 		return nil, errors.New("dynamic: nil graph or spanner")
@@ -255,7 +257,7 @@ func NewMaintainer(g *graph.Graph, spanner *graph.EdgeSet, cfg Config) (*Maintai
 		baselineSize: spanner.Len(),
 	}
 	g.ForEachEdge(func(u, v int32) { m.edges.Add(u, v) })
-	m.rebuildAdj()
+	span := m.rebuildAdj()
 	m.dist = make([]int32, m.n)
 	for i := range m.dist {
 		m.dist[i] = graph.Unreachable
@@ -263,7 +265,7 @@ func NewMaintainer(g *graph.Graph, spanner *graph.EdgeSet, cfg Config) (*Maintai
 	// Building the witness index doubles as the validity check: it fails
 	// exactly when some graph edge has no spanner path within the bound.
 	// With no bound configured, the same pass derives it.
-	if err := m.initWitnesses(); err != nil {
+	if err := m.initWitnesses(span); err != nil {
 		return nil, err
 	}
 	reg := cfg.Obs.Registry()
@@ -282,21 +284,21 @@ func NewMaintainer(g *graph.Graph, spanner *graph.EdgeSet, cfg Config) (*Maintai
 // smallest nontrivial spanner stretch). It errors when some graph edge's
 // endpoints are disconnected in the spanner.
 func DeriveBound(g *graph.Graph, spanner *graph.EdgeSet) (int, error) {
-	sg := spanner.ToGraph(g.N())
-	return boundOf(sweepAll(g, csrOf(g.N(), sg.Neighbors), 0, false))
+	return boundOf(verify.Certify(g, spanner.ToGraph(g.N()), -1, false))
 }
 
-// boundOf folds the sweeps of an unlimited kernel run into DeriveBound's
-// answer.
-func boundOf(res []sweepResult) (int, error) {
-	worst := int32(3)
-	for _, r := range res {
-		if r.badAt >= 0 {
-			return 0, fmt.Errorf("dynamic: cannot derive bound: %d graph edges at vertex %d unreachable in spanner", r.badAtN, r.badAt)
+// boundOf turns a check with no radius into DeriveBound's answer.
+func boundOf(c *verify.Certificates) (int, error) {
+	if len(c.Violated) > 0 {
+		u, count := c.Violated[0][0], 0
+		for _, e := range c.Violated {
+			if e[0] == u {
+				count++
+			}
 		}
-		worst = max(worst, r.worst)
+		return 0, fmt.Errorf("dynamic: cannot derive bound: %d graph edges at vertex %d unreachable in spanner", count, u)
 	}
-	return int(worst), nil
+	return int(max(c.Worst, 3)), nil
 }
 
 // Bound returns the maintained stretch bound.
@@ -315,15 +317,18 @@ func (m *Maintainer) Graph() *graph.Graph {
 
 // rebuildAdj reconstructs the spanner adjacency from scratch in sorted key
 // order — adjacency order feeds witness-path tie-breaking, so it must be a
-// deterministic function of the history, never map iteration order.
-func (m *Maintainer) rebuildAdj() {
+// deterministic function of the history, never map iteration order. It
+// returns the spanner as a graph, whose sorted lists are the adjacency's
+// until the next update.
+func (m *Maintainer) rebuildAdj() *graph.Graph {
 	keys := m.spanner.Keys()
 	sortKeys(keys)
+	span := graph.FromKeys(m.n, keys)
 	m.sadj = make([][]int32, m.n)
-	for _, k := range keys {
-		u, v := graph.UnpackEdgeKey(k)
-		m.addAdj(u, v)
+	for v := range m.sadj {
+		m.sadj[v] = slices.Clone(span.Neighbors(int32(v)))
 	}
+	return span
 }
 
 // addAdj/delAdj keep the spanner adjacency in lockstep with the spanner
@@ -395,49 +400,43 @@ func (m *Maintainer) repairFn(residual *graph.Graph, attempt int) (*graph.EdgeSe
 }
 
 // initWitnesses computes a witness path for every graph edge with one
-// kernel run over the spanner adjacency (see sweepAll) and builds the
-// inverted index. It errors when some edge is uncovered, so it doubles as
-// the full validity check. With no bound set yet, the run is unlimited and
-// derives the bound as DeriveBound does.
-func (m *Maintainer) initWitnesses() error {
-	res := sweepAll(m.Graph(), csrOf(m.n, func(v int32) []int32 { return m.sadj[v] }), int32(m.bound), true)
+// verify.Certify run over span, the spanner as rebuildAdj returned it, and
+// builds the inverted index. It errors when some edge is uncovered, so it
+// doubles as the full validity check. With no bound set yet, the run has
+// no radius and derives the bound as DeriveBound does.
+func (m *Maintainer) initWitnesses(span *graph.Graph) error {
+	radius := int32(m.bound)
 	if m.bound <= 0 {
-		b, err := boundOf(res)
+		radius = -1
+	}
+	c := verify.Certify(m.Graph(), span, radius, true)
+	if m.bound <= 0 {
+		b, err := boundOf(c)
 		if err != nil {
 			return err
 		}
 		m.bound = b
 	}
-	bad := 0
-	for _, r := range res {
-		bad += r.bad
-	}
-	if bad > 0 {
-		return fmt.Errorf("%w: %d edges stretched past %d", ErrInvalidSpanner, bad, m.bound)
+	if len(c.Violated) > 0 {
+		return fmt.Errorf("%w: %d edges stretched past %d", ErrInvalidSpanner, len(c.Violated), m.bound)
 	}
 	// Count each spanner edge's uses first, so every inner set is made at
 	// its final size and none grows while the paths are filed.
 	uses := make(map[int64]int, m.spanner.Len())
-	for _, r := range res {
-		for _, sk := range r.flat {
+	for _, path := range c.Paths {
+		for _, sk := range path {
 			uses[sk]++
 		}
 	}
 	m.usedBy = make(map[int64]map[int64]struct{}, len(uses))
-	for sk, c := range uses {
-		m.usedBy[sk] = make(map[int64]struct{}, c)
+	for sk, k := range uses {
+		m.usedBy[sk] = make(map[int64]struct{}, k)
 	}
 	m.witness = make(map[int64][]int64, m.edges.Len())
-	for _, r := range res {
-		lo := int32(0)
-		for j, gk := range r.keys {
-			hi := r.ends[j]
-			path := r.flat[lo:hi:hi]
-			m.witness[gk] = path
-			for _, sk := range path {
-				m.usedBy[sk][gk] = struct{}{}
-			}
-			lo = hi
+	for i, gk := range c.Keys {
+		m.witness[gk] = c.Paths[i]
+		for _, sk := range c.Paths[i] {
+			m.usedBy[sk][gk] = struct{}{}
 		}
 	}
 	return nil
@@ -699,8 +698,7 @@ func (m *Maintainer) ApplyBatch(b Batch) (*BatchReport, error) {
 				rep.SpanDel = append(rep.SpanDel, graph.EdgeKey(u, v))
 			}
 		})
-		m.rebuildAdj()
-		if err := m.initWitnesses(); err != nil {
+		if err := m.initWitnesses(m.rebuildAdj()); err != nil {
 			return nil, fmt.Errorf("dynamic: rebuilt spanner violates bound: %w", err)
 		}
 	}

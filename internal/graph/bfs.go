@@ -110,31 +110,18 @@ func (g *Graph) MultiSourceBFS(sources []int32) (dist, nearest, parent []int32) 
 	return dist, nearest, parent
 }
 
-// TruncatedBFS computes distances from src up to and including radius;
-// vertices farther away keep distance Unreachable. visit is called once per
-// reached vertex (including src) in nondecreasing distance order; a nil visit
-// is allowed. It returns the reached vertices so callers can cheaply reset
-// shared scratch state.
-func (g *Graph) TruncatedBFS(src int32, radius int32, dist []int32, visit func(v, d int32)) []int32 {
-	return g.truncatedBFS(src, radius, dist, visit, nil)
-}
-
-// TruncatedBFSInto is TruncatedBFS without a visit callback, returning the
-// reached vertices in reached's storage so repeated searches reuse one
-// slice.
+// TruncatedBFSInto computes distances from src up to and including radius
+// (a negative radius never truncates); vertices farther away keep distance
+// Unreachable, so dist must hold Unreachable everywhere on entry. It
+// returns the reached vertices in nondecreasing distance order, in
+// reached's storage so repeated searches reuse one slice, and so callers
+// can cheaply reset dist with ResetDistScratch.
 func (g *Graph) TruncatedBFSInto(src int32, radius int32, dist, reached []int32) []int32 {
-	return g.truncatedBFS(src, radius, dist, nil, reached)
-}
-
-func (g *Graph) truncatedBFS(src int32, radius int32, dist []int32, visit func(v, d int32), reached []int32) []int32 {
 	if dist[src] != Unreachable {
-		panic("graph: TruncatedBFS scratch dist not reset")
+		panic("graph: TruncatedBFSInto scratch dist not reset")
 	}
 	dist[src] = 0
 	reached = append(reached[:0], src)
-	if visit != nil {
-		visit(src, 0)
-	}
 	for head := 0; head < len(reached); head++ {
 		u := reached[head]
 		du := dist[u]
@@ -147,16 +134,13 @@ func (g *Graph) truncatedBFS(src int32, radius int32, dist []int32, visit func(v
 			}
 			dist[v] = du + 1
 			reached = append(reached, v)
-			if visit != nil {
-				visit(v, du+1)
-			}
 		}
 	}
 	return reached
 }
 
 // NewDistScratch allocates a distance slice pre-filled with Unreachable for
-// use with TruncatedBFS. Reset reached entries with ResetDistScratch.
+// use with TruncatedBFSInto. Reset reached entries with ResetDistScratch.
 func (g *Graph) NewDistScratch() []int32 {
 	dist := make([]int32, g.N())
 	for i := range dist {
@@ -170,19 +154,4 @@ func ResetDistScratch(dist []int32, reached []int32) {
 	for _, v := range reached {
 		dist[v] = Unreachable
 	}
-}
-
-// PathTo reconstructs the path from a BFS tree given by parent pointers,
-// walking v -> root. The returned path starts at v and ends at the root.
-// It returns nil if v was not reached.
-func PathTo(parent []int32, v int32) []int32 {
-	if parent[v] == Unreachable {
-		return nil
-	}
-	path := []int32{v}
-	for parent[v] != v {
-		v = parent[v]
-		path = append(path, v)
-	}
-	return path
 }

@@ -390,36 +390,23 @@ func TestMultiSourceBFSMatchesBrute(t *testing.T) {
 func TestTruncatedBFS(t *testing.T) {
 	g := Path(10)
 	dist := g.NewDistScratch()
-	var visited []int32
-	reached := g.TruncatedBFS(4, 2, dist, func(v, d int32) { visited = append(visited, v) })
+	reached := g.TruncatedBFSInto(4, 2, dist, nil)
 	if len(reached) != 5 {
 		t.Fatalf("reached %d vertices, want 5 (2,3,4,5,6)", len(reached))
 	}
 	if dist[2] != 2 || dist[6] != 2 || dist[1] != Unreachable || dist[7] != Unreachable {
 		t.Fatalf("truncated dist wrong: %v", dist)
 	}
-	if len(visited) != len(reached) {
-		t.Fatal("visit callback count mismatch")
+	for i := 1; i < len(reached); i++ {
+		if dist[reached[i]] < dist[reached[i-1]] {
+			t.Fatalf("reached %v is not in nondecreasing distance order", reached)
+		}
 	}
 	ResetDistScratch(dist, reached)
 	for _, d := range dist {
 		if d != Unreachable {
 			t.Fatal("scratch not reset")
 		}
-	}
-}
-
-func TestPathTo(t *testing.T) {
-	g := Path(6)
-	_, parent := g.BFSWithParents(0)
-	p := PathTo(parent, 5)
-	if len(p) != 6 || p[0] != 5 || p[5] != 0 {
-		t.Fatalf("path = %v", p)
-	}
-	g2 := FromEdges(3, [][2]int32{{0, 1}})
-	_, parent2 := g2.BFSWithParents(0)
-	if PathTo(parent2, 2) != nil {
-		t.Fatal("expected nil path for unreachable vertex")
 	}
 }
 

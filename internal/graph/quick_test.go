@@ -120,14 +120,16 @@ func TestQuickBFSTriangleInequality(t *testing.T) {
 			if dist[v] <= 0 {
 				continue
 			}
-			path := PathTo(parent, v)
-			if int32(len(path))-1 != dist[v] {
-				return false
-			}
-			for i := 1; i < len(path); i++ {
-				if !g.HasEdge(path[i-1], path[i]) {
+			// The parent walk from v is a path of dist[v] graph edges.
+			x, hops := v, int32(0)
+			for ; x != src && hops <= dist[v]; hops++ {
+				if !g.HasEdge(x, parent[x]) {
 					return false
 				}
+				x = parent[x]
+			}
+			if x != src || hops != dist[v] {
+				return false
 			}
 		}
 		return true
@@ -182,7 +184,7 @@ func TestQuickTruncatedBFSAgreesWithFull(t *testing.T) {
 		radius := int32(radSeed % 6)
 		full := g.BFS(src)
 		scratch := g.NewDistScratch()
-		reached := g.TruncatedBFS(src, radius, scratch, nil)
+		reached := g.TruncatedBFSInto(src, radius, scratch, nil)
 		for v := int32(0); int(v) < spec.N; v++ {
 			want := full[v]
 			if want == Unreachable || want > radius {

@@ -101,7 +101,10 @@ func TestNeighborhoodSymmetry(t *testing.T) {
 		dist := f.G.NewDistScratch()
 		var sig []int
 		counts := map[int32]int{}
-		reached := f.G.TruncatedBFS(v, int32(tau), dist, func(_, d int32) { counts[d]++ })
+		reached := f.G.TruncatedBFSInto(v, int32(tau), dist, nil)
+		for _, x := range reached {
+			counts[dist[x]]++
+		}
 		graph.ResetDistScratch(dist, reached)
 		for d := int32(0); d <= int32(tau); d++ {
 			sig = append(sig, counts[d])

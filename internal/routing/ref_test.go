@@ -81,7 +81,7 @@ func newRefScheme(g *graph.Graph, seed int64) *refScheme {
 		if radius < 0 {
 			continue
 		}
-		reached := g.TruncatedBFS(w, radius, scratchDist, nil)
+		reached := g.TruncatedBFSInto(w, radius, scratchDist, nil)
 		scratchHop[w] = w
 		for _, x := range reached {
 			if x == w {

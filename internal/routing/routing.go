@@ -19,12 +19,13 @@
 // Trees. Each landmark's tree is a shortest-path tree: a vertex's parent
 // is its first neighbour one level closer to the landmark, scanning its
 // sorted neighbour list cyclically from index v mod deg(v). The start
-// depends only on v, so one scan serves every tree a sweep builds (see
-// landmarkTrees), and rotating it spreads children over a vertex's closer
-// neighbours. Starting every scan at index 0 (the lowest-id rule) would
-// make low-id vertices the parents of most of their neighbours in every
-// tree: on G(n,p) at n=5000 the largest table grows from 1.9× the mean to
-// 3.9×. Children are numbered depth-first in ascending id.
+// depends only on v, so one scan serves every tree a sweep of graph's
+// multi-source BFS builds (see landmarkTrees), and rotating it spreads
+// children over a vertex's closer neighbours. Starting every scan at index
+// 0 (the lowest-id rule) would make low-id vertices the parents of most of
+// their neighbours in every tree: on G(n,p) at n=5000 the largest table
+// grows from 1.9× the mean to 3.9×. Children are numbered depth-first in
+// ascending id.
 //
 // The address of w is (w, ℓ_w, dfs_w), where dfs_w is w's DFS index in its
 // own landmark's tree. Routing from v to w: if some table on the way knows
@@ -40,6 +41,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"spanner/internal/flatmap"
@@ -215,6 +217,66 @@ func New(g *graph.Graph, seed int64) (*Scheme, error) {
 	}
 	s.direct = flatmap.FromStaged(n, stage)
 	return s, nil
+}
+
+// landmarkTrees writes every tree's parent and depth rows and numbers it,
+// 64 landmarks per sweep of graph's bit-parallel BFS, whose scan rule picks
+// the parents. It runs on one goroutine: every generation rebuild runs it.
+// trees[i] is landmarks[i]'s tree, fresh from the slab; reach[i] is the
+// number of vertices in landmarks[i]'s connected component, which ends its
+// search as soon as it has reached them all, without a last level that
+// finds nothing. Vertices reached at a level join their tree's order in
+// ascending id, which is the order the numbering wants.
+func landmarkTrees(g *graph.Graph, landmarks []int32, trees []tree, reach []int) {
+	n := g.N()
+	w := g.NewMSBFS()
+	orders := make([]int32, min(graph.SweepWidth, len(landmarks))*n)
+	var order, parent [graph.SweepWidth][]int32
+	for lo := 0; lo < len(landmarks); lo += graph.SweepWidth {
+		src := landmarks[lo:min(lo+graph.SweepWidth, len(landmarks))]
+		ts, want := trees[lo:lo+len(src)], reach[lo:lo+len(src)]
+		w.Start(src)
+		var live uint64
+		for i, l := range src {
+			ts[i].parent[l], ts[i].depth[l] = l, 0
+			parent[i] = ts[i].parent
+			order[i] = append(orders[i*n:i*n:(i+1)*n], l)
+			if want[i] > 1 {
+				live |= 1 << i
+			}
+		}
+		for level := int32(1); live != 0; level++ {
+			var reached uint64
+			for _, y := range w.Level(live, parent[:len(src)]) {
+				got := w.Frontier(y)
+				reached |= got
+				for ; got != 0; got &= got - 1 {
+					i := bits.TrailingZeros64(got)
+					ts[i].depth[y] = level
+					order[i] = append(order[i], y)
+				}
+			}
+			// A level that reaches nothing also ends a search, so a wrong
+			// count cannot keep it running.
+			live &= reached
+			for b := live; b != 0; b &= b - 1 {
+				if i := bits.TrailingZeros64(b); len(order[i]) == want[i] {
+					live &^= 1 << i
+				}
+			}
+		}
+		for i := range src {
+			tr := &ts[i]
+			if len(order[i]) < n {
+				for v := int32(0); int(v) < n; v++ {
+					if w.Seen(v)>>i&1 == 0 {
+						tr.parent[v], tr.depth[v] = graph.Unreachable, graph.Unreachable
+					}
+				}
+			}
+			tr.number(order[i])
+		}
+	}
 }
 
 // childCount returns the number of v's children.

@@ -83,27 +83,11 @@ func (h *HealReport) String() string {
 }
 
 // ViolatedEdges returns the edges (u,v) of g with δ_S(u,v) > bound, the
-// edge-certificate form of spanner verification: S is a t-spanner of G iff
-// every G-edge is stretched at most t (paths compose edge by edge). Each
-// violated edge is reported once with u < v. Cost is one truncated BFS of
-// radius bound in S per vertex.
+// edge-certificate form of spanner verification (see Certify), each once
+// with u < v, in ascending order. Bound 0 violates every edge; a negative
+// bound checks connectivity alone.
 func ViolatedEdges(g *graph.Graph, s *graph.EdgeSet, bound int) [][2]int32 {
-	sg := s.ToGraph(g.N())
-	dist := sg.NewDistScratch()
-	var viol [][2]int32
-	for u := int32(0); int(u) < g.N(); u++ {
-		if len(g.Neighbors(u)) == 0 {
-			continue
-		}
-		reached := sg.TruncatedBFS(u, int32(bound), dist, nil)
-		for _, v := range g.Neighbors(u) {
-			if v > u && dist[v] == graph.Unreachable {
-				viol = append(viol, [2]int32{u, v})
-			}
-		}
-		graph.ResetDistScratch(dist, reached)
-	}
-	return viol
+	return Certify(g, s.ToGraph(g.N()), int32(bound), false).Violated
 }
 
 // Heal verifies the spanner s of g against the stretch bound and repairs it
