@@ -170,14 +170,15 @@ partcheck:
 # pooling/scavenging, breaker and retry semantics), the cross-transport
 # equivalence suite (identical query streams over HTTP/JSON and binary wire
 # return byte-identical answers, including degraded/composed flags and
-# typed-error parity), and the unraced zero-alloc bars on the steady-state
-# point-query path: the client against an echo responder, and the client,
-# wire server and engine together.
+# typed-error parity), the load generator against spannerd over each
+# transport (-wire and -replicas), and the unraced zero-alloc bars on the
+# steady-state point-query path: the client against an echo responder, and
+# the client, wire server and engine together.
 wirecheck:
 	$(GO) vet ./internal/wire/... ./client/...
 	$(GO) test -race ./internal/wire/...
 	$(GO) test -run 'Wire' -race ./client/... ./cmd/spannerd/... .
-	$(GO) test -run 'CrossTransport|LoadgenWire' -race -count=1 ./cmd/spannerd/
+	$(GO) test -run 'CrossTransport|Loadgen(Wire|Replicas)' -race -count=1 ./cmd/spannerd/
 	$(GO) test -run ZeroAlloc -count=1 ./client/
 
 # The serving benchmark's own tests (a separate module under servebench/):

@@ -977,8 +977,7 @@ func BenchmarkReliableOverhead(b *testing.B) {
 //
 // These cover the layers above the constructions: the artifact codec and
 // query engine (the serving layer) and the batched update maintainer (the
-// dynamic layer). cmd/benchtable -perf prints the same measurements as a
-// table via testing.Benchmark.
+// dynamic layer). `make bench` runs them.
 
 var (
 	sinkBytes []byte
@@ -1000,8 +999,9 @@ func perfGraph(b *testing.B) (*Graph, *EdgeSet) {
 }
 
 // Serving throughput: sustained concurrent distance queries against a
-// loaded artifact (sharded workers, per-shard LRU caches). ns/op under
-// RunParallel is the per-query cost with every core hammering the engine.
+// loaded artifact (queries evaluated on the calling goroutine, LRU caches
+// split into GOMAXPROCS partitions). ns/op under RunParallel is the
+// per-query cost with every core hammering the engine.
 func BenchmarkServeThroughput(b *testing.B) {
 	g, s := perfGraph(b)
 	art, err := BuildArtifact(g, s, "baswana-sen", 2, 1)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"spanner/client"
 	"spanner/internal/artifact"
 	"spanner/internal/httpchaos"
 	"spanner/internal/obs"
@@ -111,12 +112,12 @@ func TestDrainCompletesInflightBatch(t *testing.T) {
 
 	type result struct {
 		status int
-		reps   []replyJSON
+		reps   []client.Reply
 		err    error
 	}
 	resc := make(chan result, 1)
 	go func() {
-		body, _ := json.Marshal([]queryJSON{
+		body, _ := json.Marshal([]client.Query{
 			{Type: "dist", U: 1, V: 2},
 			{Type: "dist", U: 3, V: 4},
 		})
@@ -126,7 +127,7 @@ func TestDrainCompletesInflightBatch(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		var reps []replyJSON
+		var reps []client.Reply
 		err = json.NewDecoder(resp.Body).Decode(&reps)
 		resc <- result{status: resp.StatusCode, reps: reps, err: err}
 	}()
@@ -258,7 +259,7 @@ func TestBrownoutWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep replyJSON
+	var rep client.Reply
 	json.NewDecoder(resp.Body).Decode(&rep)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || rep.Err != "" {
@@ -299,9 +300,9 @@ func TestBatchLimitWire(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); eng.Close() })
 
 	post := func(n int) int {
-		qs := make([]queryJSON, n)
+		qs := make([]client.Query, n)
 		for i := range qs {
-			qs[i] = queryJSON{Type: "dist", U: 0, V: int32(i + 1)}
+			qs[i] = client.Query{Type: "dist", U: 0, V: int32(i + 1)}
 		}
 		body, _ := json.Marshal(qs)
 		resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))

@@ -85,9 +85,9 @@ type httpIssuer struct {
 func newHTTPIssuer(targets []string) (*httpIssuer, error) {
 	iss := &httpIssuer{targets: targets, hc: &http.Client{Timeout: 10 * time.Second}}
 	// Size the workload from whichever endpoint answers: a router's
-	// /statusz or a replica's /stats both carry the vertex count.
+	// /statusz or a replica's /healthz both carry the vertex count.
 	for _, t := range targets {
-		for _, path := range []string{"/statusz", "/stats"} {
+		for _, path := range []string{"/statusz", "/healthz"} {
 			resp, err := iss.hc.Get(t + path)
 			if err != nil {
 				continue
@@ -103,7 +103,7 @@ func newHTTPIssuer(targets []string) (*httpIssuer, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("loadgen: no target of %d answered /statusz or /stats with a vertex count", len(targets))
+	return nil, fmt.Errorf("loadgen: no target of %d answered /statusz or /healthz with a vertex count", len(targets))
 }
 
 func (h *httpIssuer) vertices() int32 { return h.n }
@@ -121,20 +121,8 @@ func (h *httpIssuer) issue(req serve.Request) (serve.Reply, int) {
 	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil && resp.StatusCode == http.StatusOK {
 		return serve.Reply{U: req.U, V: req.V, Err: err}, failovers
 	}
-	rep := serve.Reply{
-		U: wire.U, V: wire.V, Dist: wire.Dist, Path: wire.Path,
-		Cached: wire.Cached, Degraded: wire.Degraded, Composed: wire.Composed,
-		SnapshotID: wire.Snapshot,
-	}
-	if wire.Bound != nil {
-		rep.Bound = *wire.Bound
-	}
-	// A composed (cross-partition) answer carries a [Bound, Dist] bracket
-	// on the true distance; an inverted bracket is a wrong answer, not a
-	// transport hiccup, so fail the query loudly.
-	if wire.Composed && wire.Bound != nil && *wire.Bound > wire.Dist {
-		rep.Err = fmt.Errorf("composed bound violation: lower %d > upper %d for (%d,%d)",
-			*wire.Bound, wire.Dist, wire.U, wire.V)
+	rep := fromClient(wire)
+	if rep.Err != nil {
 		return rep, failovers
 	}
 	// Fold HTTP statuses back into the engine's error taxonomy so the
@@ -152,6 +140,27 @@ func (h *httpIssuer) issue(req serve.Request) (serve.Reply, int) {
 		rep.Err = fmt.Errorf("status %d: %s", resp.StatusCode, wire.Err)
 	}
 	return rep, failovers
+}
+
+// fromClient converts a reply as either transport's client decodes it into
+// the engine's form. A composed (cross-partition) answer carries a
+// [Bound, Dist] bracket on the true distance; an inverted bracket is a
+// wrong answer, not a transport hiccup, so it comes back as the reply's
+// error. Folding the reply's own error string is left to the caller.
+func fromClient(r client.Reply) serve.Reply {
+	rep := serve.Reply{
+		U: r.U, V: r.V, Dist: r.Dist, Path: r.Path,
+		Cached: r.Cached, Degraded: r.Degraded, Composed: r.Composed,
+		SnapshotID: r.Snapshot,
+	}
+	if r.Bound != nil {
+		rep.Bound = *r.Bound
+		if r.Composed && rep.Bound > r.Dist {
+			rep.Err = fmt.Errorf("composed bound violation: lower %d > upper %d for (%d,%d)",
+				rep.Bound, r.Dist, r.U, r.V)
+		}
+	}
+	return rep
 }
 
 // wireIssuer drives a spannerd binary wire-protocol listener through the
@@ -199,22 +208,8 @@ func (wi *wireIssuer) issue(req serve.Request) (serve.Reply, int) {
 		}
 		return rep, 0
 	}
-	rep := serve.Reply{
-		U: r.U, V: r.V, Dist: r.Dist, Path: r.Path,
-		Cached: r.Cached, Degraded: r.Degraded, Composed: r.Composed,
-		SnapshotID: r.Snapshot,
-	}
-	if r.Bound != nil {
-		rep.Bound = *r.Bound
-	}
-	// Same bracket check the HTTP issuer applies: an inverted composed
-	// bound is a wrong answer, not a transport hiccup.
-	if r.Composed && r.Bound != nil && *r.Bound > r.Dist {
-		rep.Err = fmt.Errorf("composed bound violation: lower %d > upper %d for (%d,%d)",
-			*r.Bound, r.Dist, r.U, r.V)
-		return rep, 0
-	}
-	if r.Err != "" {
+	rep := fromClient(r)
+	if rep.Err == nil && r.Err != "" {
 		if strings.Contains(r.Err, "no route") {
 			rep.Err = serve.ErrNoRoute
 		} else {

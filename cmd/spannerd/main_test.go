@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"spanner/client"
 	"spanner/internal/artifact"
 	"spanner/internal/dynamic"
 	"spanner/internal/graph"
@@ -62,7 +63,7 @@ func TestQueryEndpointMatchesOracle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var rep replyJSON
+	var rep client.Reply
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +75,13 @@ func TestQueryEndpointMatchesOracle(t *testing.T) {
 	}
 
 	// POST form of the same query.
-	body, _ := json.Marshal(queryJSON{Type: "route", U: 3, V: 42})
+	body, _ := json.Marshal(client.Query{Type: "route", U: 3, V: 42})
 	resp2, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var rep2 replyJSON
+	var rep2 client.Reply
 	if err := json.NewDecoder(resp2.Body).Decode(&rep2); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestQueryEndpointErrors(t *testing.T) {
 func TestBatchEndpoint(t *testing.T) {
 	a := testArtifact(t, 80, 3)
 	ts, _ := testServer(t, a)
-	qs := []queryJSON{
+	qs := []client.Query{
 		{Type: "dist", U: 1, V: 2},
 		{Type: "nope", U: 3, V: 4}, // parse failure must not shift replies
 		{Type: "path", U: 5, V: 6},
@@ -128,7 +129,7 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var reps []replyJSON
+	var reps []client.Reply
 	if err := json.NewDecoder(resp.Body).Decode(&reps); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestUpdateEndpoint(t *testing.T) {
 		t.Fatalf("spanner size %d, patched artifact has %d", body.Spanner, next.Spanner.Len())
 	}
 	// Served answers now match the patched generation.
-	var rep replyJSON
+	var rep client.Reply
 	r2, err := http.Get(ts.URL + "/query?type=dist&u=1&v=9")
 	if err != nil {
 		t.Fatal(err)

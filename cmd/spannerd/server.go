@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"spanner/client"
 	"spanner/internal/artifact"
 	"spanner/internal/clusterserve"
 	"spanner/internal/graph"
@@ -76,47 +77,11 @@ func (s *server) routes() http.Handler {
 // RejectedError) use it instead of guessing.
 const retryAfterHint = "1"
 
-// queryJSON is the wire form of a request (POST /query and /batch entries).
-type queryJSON struct {
-	Type string `json:"type"`
-	U    int32  `json:"u"`
-	V    int32  `json:"v"`
-	// DeadlineMS, when positive, bounds queueing+execution time.
-	DeadlineMS int64 `json:"deadlineMs,omitempty"`
-	// Priority is ""/"high" (protected) or "low" (shed first when the
-	// server browns out).
-	Priority string `json:"priority,omitempty"`
-	// AllowDegraded asks for the landmark-bound estimate (flagged
-	// Degraded) instead of the exact oracle answer. Dist only. The
-	// cluster router sets it when quorum is lost.
-	AllowDegraded bool `json:"allowDegraded,omitempty"`
-}
-
-// replyJSON is the wire form of a reply.
-type replyJSON struct {
-	Type     string  `json:"type"`
-	U        int32   `json:"u"`
-	V        int32   `json:"v"`
-	Dist     int32   `json:"dist"`
-	Path     []int32 `json:"path,omitempty"`
-	Bound    *int32  `json:"bound,omitempty"`
-	Cached   bool    `json:"cached"`
-	Degraded bool    `json:"degraded,omitempty"`
-	// Composed marks a cross-partition distance from a partition replica:
-	// Dist is a landmark-relay upper bound, Bound the matching lower
-	// certificate.
-	Composed bool  `json:"composed,omitempty"`
-	Snapshot int64 `json:"snapshot"`
-	// Gen is the cluster generation of the snapshot that answered (0 when
-	// the daemon is not cluster-managed). Snapshot is replica-local and
-	// resets on restart; Gen is router-assigned and comparable across
-	// replicas — the chaos oracle validates answers against it.
-	Gen int64  `json:"gen,omitempty"`
-	Err string `json:"err,omitempty"`
-}
-
-func toWire(r serve.Reply) replyJSON {
-	w := replyJSON{
+// toWire converts an engine reply into its JSON wire form. Requests (POST
+// /query and /batch entries) and replies travel as the client package's
+// Query and Reply, so the server and its Go callers share one schema.
+func toWire(r serve.Reply) client.Reply {
+	w := client.Reply{
 		Type:     r.Type.String(),
 		U:        r.U,
 		V:        r.V,
@@ -142,7 +107,7 @@ func toWire(r serve.Reply) replyJSON {
 // snapshot→generation mapping under the same lock that publishes a
 // commit, so a query that finished on the old snapshot during a cut-over
 // is stamped with the old generation — never mislabeled with the new one.
-func (s *server) wire(r serve.Reply) replyJSON {
+func (s *server) wire(r serve.Reply) client.Reply {
 	w := toWire(r)
 	if s.cluster != nil {
 		w.Gen = s.cluster.GenOf(r.SnapshotID)
@@ -181,7 +146,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"err": msg})
 }
 
-func (q queryJSON) toRequest() (serve.Request, error) {
+func toRequest(q client.Query) (serve.Request, error) {
 	typ, err := serve.ParseQueryType(q.Type)
 	if err != nil {
 		return serve.Request{}, fmt.Errorf("%w: %q", err, q.Type)
@@ -204,7 +169,7 @@ func (q queryJSON) toRequest() (serve.Request, error) {
 // handleQuery answers one query. GET takes ?type=dist&u=3&v=77
 // (&deadlineMs=50); POST takes the same fields as JSON.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var q queryJSON
+	var q client.Query
 	switch r.Method {
 	case http.MethodGet:
 		q.Type = r.URL.Query().Get("type")
@@ -234,7 +199,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
-	req, err := q.toRequest()
+	req, err := toRequest(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -265,7 +230,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var qs []queryJSON
+	var qs []client.Query
 	if err := json.NewDecoder(r.Body).Decode(&qs); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
@@ -280,13 +245,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Entries whose strings do not parse fail in their own slot; the rest
 	// go to the engine as one batch.
-	replies := make([]replyJSON, len(qs))
+	replies := make([]client.Reply, len(qs))
 	idx := make([]int, 0, len(qs))
 	reqs := make([]serve.Request, 0, len(qs))
 	for i, q := range qs {
-		req, err := q.toRequest()
+		req, err := toRequest(q)
 		if err != nil {
-			replies[i] = replyJSON{Type: q.Type, U: q.U, V: q.V, Err: err.Error()}
+			replies[i] = client.Reply{Type: q.Type, U: q.U, V: q.V, Err: err.Error()}
 			continue
 		}
 		idx = append(idx, i)

@@ -301,6 +301,48 @@ func TestLoadgenWire(t *testing.T) {
 	}
 }
 
+// TestLoadgenReplicas drives the load generator over HTTP/JSON at a plain
+// spannerd (no router in front), which sizes its workload from /healthz,
+// and checks the report carries real traffic with no transport faults.
+func TestLoadgenReplicas(t *testing.T) {
+	a := testArtifact(t, 100, 9)
+	eng, err := serve.New(a, serve.Config{CacheSize: 128, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ts := httptest.NewServer(newServer(eng, nil, serverOpts{}).routes())
+	defer ts.Close()
+
+	rep, err := runLoad(nil, loadConfig{
+		Targets:  []string{ts.URL},
+		Mode:     "closed",
+		Conc:     4,
+		Duration: 200 * time.Millisecond,
+		Mix:      [3]int{2, 1, 1},
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	rep.write(&buf)
+	out := buf.String()
+	if rep.transport != "json" || !strings.Contains(out, "json ") {
+		t.Fatalf("report transport %q, want json:\n%s", rep.transport, out)
+	}
+	var total int64
+	for i := range rep.stats {
+		total += rep.stats[i].lat.Count() + rep.stats[i].rejected + rep.stats[i].transport
+	}
+	if total == 0 {
+		t.Fatal("replica loadgen issued no queries")
+	}
+	if rep.stats[0].transport+rep.stats[1].transport+rep.stats[2].transport != 0 {
+		t.Fatalf("replica loadgen saw transport faults against a healthy server:\n%s", out)
+	}
+}
+
 // TestCrossTransportBrownoutEquivalence pins the Retry-After semantics:
 // both transports surface brownout as a *RejectedError with the server's
 // 1-second hint.
