@@ -18,6 +18,8 @@ race:
 
 # The root benchmarks, including BenchmarkArtifactBuild and
 # BenchmarkDeltaApply (the cost of one generation rebuild at n=5000),
+# BenchmarkArtifactCodec (encode, decode and delta apply of the artifact
+# at servebench's shape, n=5000 and k=3; decode is what a /swap pays),
 # BenchmarkRoutingBuild (the routing scheme alone at servebench's shape,
 # with landmark count and largest/mean table size; run it with -cpu 1),
 # BenchmarkNewMaintainer (the dynamic maintainer's witness index at n=5000,

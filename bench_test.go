@@ -1032,13 +1032,14 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 }
 
-// Artifact codec: encode/decode of the single-file build artifact (graph +
-// spanner + oracle + routing as one checksummed word stream), and the delta
-// path — patching a base artifact to the next generation, which replays the
-// deterministic oracle/routing construction.
+// Artifact codec at servebench's shape (generationWorkload, k=3):
+// encode/decode of the single-file build artifact (graph + spanner +
+// oracle + routing as one checksummed image) — decode is what a /swap
+// pays — and the delta path, patching a base artifact to the next
+// generation, which replays the deterministic oracle/routing construction.
 func BenchmarkArtifactCodec(b *testing.B) {
-	g, s := perfGraph(b)
-	art, err := BuildArtifact(g, s, "baswana-sen", 2, 1)
+	g, s := generationWorkload(b)
+	art, err := BuildArtifact(g, s, "baswana-sen", 3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1078,7 +1079,7 @@ func BenchmarkArtifactCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	next, err := BuildArtifact(m.Graph(), m.Spanner(), "baswana-sen", 2, 1)
+	next, err := BuildArtifact(m.Graph(), m.Spanner(), "baswana-sen", 3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

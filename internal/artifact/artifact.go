@@ -5,14 +5,15 @@
 // queries against the result) are decoupled processes: a build farm writes
 // artifacts, query daemons memory-load and hot-swap them.
 //
-// The format follows the repo's word-stream conventions (the reliable
-// transport's wire frames and the distsim checkpoints): the artifact is a
-// flat little-endian int64 stream with a magic word, a version word,
-// length-prefixed sections, and an FNV-1a checksum footer over everything
-// before it. Encoding is deterministic — the same build always produces the
-// same bytes — and decoding is bounds-checked: truncated, corrupted or
-// version-skewed inputs return typed errors and never panic (fuzzed by
-// FuzzArtifactDecode).
+// The files are format version 2 of package codec's byte image: a magic
+// value, a version value, length-prefixed sections of 4-byte values (8
+// bytes for edge keys, the seed, checksums, and lengths and counts not
+// bounded by a vertex count), and an XXH64 checksum footer over
+// everything before it.
+// Encoding is deterministic — the same build always produces the same
+// bytes — and decoding is bounds-checked: truncated, corrupted or
+// version-skewed inputs (a version-1 file among them) return typed errors
+// and never panic (fuzzed by FuzzArtifactDecode).
 package artifact
 
 import (
@@ -22,28 +23,32 @@ import (
 	"os"
 	"slices"
 
+	"spanner/internal/codec"
 	"spanner/internal/graph"
 	"spanner/internal/oracle"
 	"spanner/internal/routing"
 )
 
 const (
-	// magic spells "SPANART1" as little-endian ASCII.
+	// magic spells "SPANART1" as little-endian ASCII; the version value,
+	// not the magic, names the format version.
 	magic   int64 = 0x3154_5241_4e41_5053
-	version int64 = 1
+	version int64 = 2
+	// minLen is the shortest artifact file: the header, the fixed-width
+	// values before the sections, and the footer.
+	minLen = 16 + 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8
 )
 
 // Typed decode failures, matchable with errors.Is through any wrapping.
 var (
 	// ErrTruncated reports input shorter than its own length prefixes claim.
-	ErrTruncated = errors.New("artifact: truncated input")
-	// ErrChecksum reports an FNV footer mismatch (bit rot, torn write).
-	ErrChecksum = errors.New("artifact: checksum mismatch")
-	// ErrMagic reports input that is not an artifact at all.
-	ErrMagic = errors.New("artifact: bad magic (not an artifact file)")
-	// ErrVersion reports an artifact written by an incompatible format
-	// version.
-	ErrVersion = errors.New("artifact: unsupported format version")
+	ErrTruncated = codec.ErrTruncated
+	// ErrChecksum reports a footer mismatch (bit rot, torn write).
+	ErrChecksum = codec.ErrChecksum
+	// ErrMagic reports input that is not an artifact file at all.
+	ErrMagic = codec.ErrMagic
+	// ErrVersion reports a file written by another format version.
+	ErrVersion = codec.ErrVersion
 	// ErrCorrupt reports structurally invalid content behind a valid
 	// checksum (hand-edited or adversarial input).
 	ErrCorrupt = errors.New("artifact: corrupt content")
@@ -84,168 +89,69 @@ func Build(g *graph.Graph, spanner *graph.EdgeSet, algo string, k int, seed int6
 	return &Artifact{Algo: algo, Seed: seed, K: k, Graph: g, Spanner: spanner, Oracle: orc, Routing: rt}, nil
 }
 
-// fnvOffset is the FNV-1a offset basis, the hash of no bytes.
-const fnvOffset uint64 = 1469598103934665603
-
-// fnvFold continues FNV-1a hash h over the little-endian bytes of words.
-func fnvFold(h uint64, words []int64) uint64 {
-	const prime = 1099511628211
-	for _, w := range words {
-		x := uint64(w)
-		h = (h ^ x&0xff) * prime
-		h = (h ^ x>>8&0xff) * prime
-		h = (h ^ x>>16&0xff) * prime
-		h = (h ^ x>>24&0xff) * prime
-		h = (h ^ x>>32&0xff) * prime
-		h = (h ^ x>>40&0xff) * prime
-		h = (h ^ x>>48&0xff) * prime
-		h = (h ^ x>>56) * prime
-	}
-	return h
-}
-
-// fnvWords folds FNV-1a over a word slice — the same integrity footer the
-// reliable wire format and the distsim checkpoints use.
-func fnvWords(words []int64) int64 { return int64(fnvFold(fnvOffset, words)) }
-
-// fnvBytes folds FNV-1a over bytes: the fnvWords of the words they encode.
-func fnvBytes(data []byte) int64 {
-	h := fnvOffset
-	for _, b := range data {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return int64(h)
-}
-
-// wordLen returns the length of the artifact's word stream.
+// wordLen returns the number of values in the artifact's image.
 func (a *Artifact) wordLen() int {
 	return 10 + len(a.Algo) + a.Graph.M() + a.Spanner.Len() + a.Oracle.WordLen() + a.Routing.WordLen()
 }
 
-// encode streams the artifact's word stream (without the checksum footer)
-// through emit in consecutive chunks; a chunk is only valid during its
-// emit call. The oracle and routing sections stream from their storage,
-// so no caller needs the whole stream in memory.
-func (a *Artifact) encode(emit func([]int64)) {
-	const chunk = 4096
+// imageLen returns the byte length of the artifact's image without the
+// footer: seven 8-byte values beside the edge keys, three 4-byte ones
+// beside the name, and the two sections.
+func (a *Artifact) imageLen() int {
+	return 8*(7+a.Graph.M()+a.Spanner.Len()) + 4*(3+len(a.Algo)) + a.Oracle.ImageLen() + a.Routing.ImageLen()
+}
+
+// encode writes the artifact's values (without the checksum footer). The
+// oracle and routing sections are written from their storage.
+func (a *Artifact) encode(w *codec.Writer) {
 	n := a.Graph.N()
-	w := make([]int64, 0, chunk)
-	w = append(w, magic, version, a.Seed, int64(a.K), int64(len(a.Algo)))
+	w.Int64s([]int64{magic, version, a.Seed})
+	w.Int(int64(a.K))
+	w.Int(int64(len(a.Algo)))
 	for i := 0; i < len(a.Algo); i++ {
-		w = append(w, int64(a.Algo[i]))
+		w.Int(int64(a.Algo[i]))
 	}
-	w = append(w, int64(n), int64(a.Graph.M()))
+	w.Int(int64(n))
+	w.Int64(int64(a.Graph.M()))
 	for u := int32(0); int(u) < n; u++ {
 		for _, v := range a.Graph.Neighbors(u) {
 			if u < v {
-				w = append(w, graph.EdgeKey(u, v))
+				w.Int64(graph.EdgeKey(u, v))
 			}
-		}
-		if len(w) >= chunk {
-			emit(w)
-			w = w[:0]
 		}
 	}
 	spk := a.Spanner.Keys()
 	slices.Sort(spk)
-	w = append(w, int64(len(spk)))
-	emit(w)
-	emit(spk)
-	emit([]int64{int64(a.Oracle.WordLen())})
-	a.Oracle.EncodeWords(emit)
-	emit([]int64{int64(a.Routing.WordLen())})
-	a.Routing.EncodeWords(emit)
+	w.Int64(int64(len(spk)))
+	w.Int64s(spk)
+	w.Int64(int64(a.Oracle.WordLen()))
+	a.Oracle.Encode(w)
+	w.Int64(int64(a.Routing.WordLen()))
+	a.Routing.Encode(w)
 }
 
-// Words serializes the artifact to its word stream (without the checksum
+// image renders the artifact's bytes without the footer, with room for it.
+func (a *Artifact) image() []byte {
+	w := codec.NewWriter(a.imageLen() + 8)
+	a.encode(w)
+	return w.Bytes()
+}
+
+// Words returns the artifact's logical values (without the checksum
 // footer Marshal appends).
-func (a *Artifact) Words() []int64 { return streamWords(a.wordLen(), a.encode) }
+func (a *Artifact) Words() []int64 {
+	w := codec.NewWords(a.wordLen())
+	a.encode(w)
+	return w.Words()
+}
 
-// Marshal renders the artifact as its on-disk bytes: the word stream plus
-// FNV footer, little-endian. The footer is the memoized Checksum, folded
-// here as the stream is written when nothing has asked for it yet.
+// Marshal renders the artifact as its on-disk bytes: the image plus the
+// checksum footer. The footer is the memoized Checksum, computed here
+// from the image when nothing has asked for it yet.
 func (a *Artifact) Marshal() []byte {
-	var buf []byte
-	a.sum.once.Do(func() { buf, a.sum.v = streamBytes(a.wordLen(), a.encode, true) })
-	if buf == nil {
-		buf, _ = streamBytes(a.wordLen(), a.encode, false)
-	}
+	buf := a.image()
+	a.sum.once.Do(func() { a.sum.v = codec.Sum(buf) })
 	return binary.LittleEndian.AppendUint64(buf, uint64(a.sum.v))
-}
-
-// streamWords collects the stream encode emits; size is its length.
-func streamWords(size int, encode func(emit func([]int64))) []int64 {
-	w := make([]int64, 0, size)
-	encode(func(chunk []int64) { w = append(w, chunk...) })
-	return w
-}
-
-// streamSum folds FNV-1a over the stream encode emits.
-func streamSum(encode func(emit func([]int64))) int64 {
-	h := fnvOffset
-	encode(func(chunk []int64) { h = fnvFold(h, chunk) })
-	return int64(h)
-}
-
-// streamBytes renders the stream encode emits, of size words, as
-// little-endian bytes with room for a footer word, folding FNV-1a over it
-// when fold is set.
-func streamBytes(size int, encode func(emit func([]int64)), fold bool) ([]byte, int64) {
-	buf := make([]byte, 0, 8*(size+1))
-	h := fnvOffset
-	encode(func(chunk []int64) {
-		if fold {
-			h = fnvFold(h, chunk)
-		}
-		for _, w := range chunk {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
-		}
-	})
-	return buf, int64(h)
-}
-
-// reader consumes the artifact word stream with bounds checking.
-type reader struct {
-	buf []int64
-	pos int
-	err error
-}
-
-func (r *reader) get() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("%w: offset %d", ErrTruncated, r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-// count reads a length prefix and validates it against the remaining words
-// (at wordsPerEntry words each), so corrupt prefixes cannot trigger huge
-// allocations.
-func (r *reader) count(wordsPerEntry int) int {
-	n := r.get()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || int64(wordsPerEntry)*n > int64(len(r.buf)-r.pos) {
-		r.err = fmt.Errorf("%w: length %d at offset %d", ErrTruncated, n, r.pos)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) slice(n int) []int64 {
-	if r.err != nil {
-		return nil
-	}
-	s := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return s
 }
 
 // Unmarshal decodes artifact bytes produced by Marshal. All failures are
@@ -254,69 +160,46 @@ func (r *reader) slice(n int) []int64 {
 // canonical: every accepted input is exactly what Marshal writes for the
 // decoded artifact, so the verified footer is its Checksum.
 func Unmarshal(data []byte) (*Artifact, error) {
-	if len(data)%8 != 0 || len(data) < 8*8 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
-	}
-	words := make([]int64, len(data)/8)
-	for i := range words {
-		words[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	body, sum := words[:len(words)-1], words[len(words)-1]
-	if err := checkHeader(body); err != nil {
+	r, sum, err := codec.Open(data, magic, version, minLen)
+	if err != nil {
 		return nil, err
 	}
-	if fnvBytes(data[:len(data)-8]) != sum {
-		return nil, ErrChecksum
-	}
-	return decodeBody(body, sum)
+	return decodeBody(r, sum)
 }
 
-// checkHeader validates the magic and version words of an artifact body.
-func checkHeader(body []int64) error {
-	if body[0] != magic {
-		return ErrMagic
-	}
-	if body[1] != version {
-		return fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], version)
-	}
-	return nil
-}
-
-// decodeBody decodes a verified artifact word stream (header included,
-// footer excluded) whose checksum is sum.
-func decodeBody(body []int64, sum int64) (*Artifact, error) {
-	r := &reader{buf: body, pos: 2}
-	a := &Artifact{Seed: r.get()}
-	k := r.get()
-	if r.err == nil && (k < 1 || k > 64) {
+// decodeBody decodes an artifact image from just past its header to the
+// end of r; sum is the image's checksum.
+func decodeBody(r *codec.Reader, sum int64) (*Artifact, error) {
+	a := &Artifact{Seed: r.Int64()}
+	k := r.Int()
+	if r.Err() == nil && (k < 1 || k > 64) {
 		return nil, fmt.Errorf("%w: implausible oracle parameter k=%d", ErrCorrupt, k)
 	}
 	a.K = int(k)
-	nameLen := r.count(1)
-	name := make([]byte, nameLen)
+	name := make([]byte, r.Count(4))
 	for i := range name {
-		c := r.get()
-		if r.err == nil && (c < 0 || c > 255) {
+		c := r.Int()
+		if c < 0 || c > 255 {
 			return nil, fmt.Errorf("%w: algo name byte %d", ErrCorrupt, c)
 		}
 		name[i] = byte(c)
 	}
 	a.Algo = string(name)
-	n := r.get()
-	if r.err == nil && (n < 0 || n > 1<<31-1) {
+	// Each vertex has at least its oracle level ahead, so a count beyond
+	// the bytes left / 4 cannot be honest; bounding it keeps a hostile
+	// count from sizing the graph.
+	n := r.Int()
+	if n < 0 || n > int64(r.Left()/4) {
 		return nil, fmt.Errorf("%w: vertex count %d", ErrCorrupt, n)
 	}
-	m := r.count(1)
-	if r.err != nil {
-		return nil, r.err
+	m := r.Count64(8)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	b := graph.NewBuilder(int(n))
 	prev := int64(-1)
 	for i := 0; i < m; i++ {
-		key := r.get()
-		if r.err != nil {
-			return nil, r.err
-		}
+		key := r.Int64()
 		u, v := graph.UnpackEdgeKey(key)
 		if key <= prev || u < 0 || u >= v || int64(v) >= n {
 			return nil, fmt.Errorf("%w: graph edge key %d at index %d", ErrCorrupt, key, i)
@@ -328,17 +211,14 @@ func decodeBody(body []int64, sum int64) (*Artifact, error) {
 	if a.Graph.M() != m {
 		return nil, fmt.Errorf("%w: %d duplicate graph edges", ErrCorrupt, m-a.Graph.M())
 	}
-	sp := r.count(1)
-	if r.err != nil {
-		return nil, r.err
+	sp := r.Count64(8)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	a.Spanner = graph.NewEdgeSet(sp)
 	prev = -1
 	for i := 0; i < sp; i++ {
-		key := r.get()
-		if r.err != nil {
-			return nil, r.err
-		}
+		key := r.Int64()
 		u, v := graph.UnpackEdgeKey(key)
 		if key <= prev || u < 0 || u >= v || int64(v) >= n {
 			return nil, fmt.Errorf("%w: spanner edge key %d at index %d", ErrCorrupt, key, i)
@@ -349,23 +229,24 @@ func decodeBody(body []int64, sum int64) (*Artifact, error) {
 		prev = key
 		a.Spanner.AddKey(key)
 	}
-	ow := r.slice(r.count(1))
-	rw := r.slice(r.count(1))
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
-	}
 	var err error
-	if a.Oracle, err = oracle.FromWords(a.Graph, ow); err != nil {
+	ow := r.Count64(4)
+	if a.Oracle, err = oracle.Decode(a.Graph, r); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if a.Oracle.K() != a.K {
-		return nil, fmt.Errorf("%w: oracle k=%d, header k=%d", ErrCorrupt, a.Oracle.K(), a.K)
+	if a.Oracle.K() != a.K || a.Oracle.WordLen() != ow {
+		return nil, fmt.Errorf("%w: oracle section of k=%d and %d values, header says k=%d and %d",
+			ErrCorrupt, a.Oracle.K(), a.Oracle.WordLen(), a.K, ow)
 	}
-	if a.Routing, err = routing.FromWords(a.Graph, rw); err != nil {
+	rw := r.Count64(4)
+	if a.Routing, err = routing.Decode(a.Graph, r); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if a.Routing.WordLen() != rw {
+		return nil, fmt.Errorf("%w: routing section of %d values, its length says %d", ErrCorrupt, a.Routing.WordLen(), rw)
+	}
+	if r.Left() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Left())
 	}
 	a.sum.once.Do(func() { a.sum.v = sum })
 	return a, nil

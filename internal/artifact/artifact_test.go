@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"spanner/internal/codec"
 	"spanner/internal/graph"
 )
 
@@ -111,7 +113,14 @@ func TestSaveLoad(t *testing.T) {
 	if b.Graph.M() != a.Graph.M() || b.Spanner.Len() != a.Spanner.Len() {
 		t.Fatal("load changed content")
 	}
-	// No temp droppings left behind.
+	d, err := Diff(a, testArtifact(t, 80, 2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveDelta(filepath.Join(filepath.Dir(path), "patch.spandelta"), d); err != nil {
+		t.Fatal(err)
+	}
+	// No temp droppings left behind by either save.
 	matches, _ := filepath.Glob(filepath.Join(filepath.Dir(path), ".artifact-*"))
 	if len(matches) != 0 {
 		t.Fatalf("temp files left behind: %v", matches)
@@ -144,12 +153,19 @@ func TestTypedDecodeErrors(t *testing.T) {
 		t.Fatalf("flipped body bit: got %v", err)
 	}
 
-	// Structurally invalid content behind a recomputed (valid) checksum.
-	words := a.Words()
-	words[3] = 99 // implausible k
-	bad := wordsToBytes(words)
-	if _, err := Unmarshal(bad); !errors.Is(err, ErrCorrupt) {
+	// Structurally invalid content behind a recomputed (valid) checksum:
+	// k is the 4-byte value after the magic, version and seed.
+	if _, err := Unmarshal(reseal(data, 24, []byte{99, 0, 0, 0})); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("implausible k: got %v", err)
+	}
+	// A vertex count the bytes left cannot hold, resealed: n is the 4-byte
+	// value after the name.
+	if _, err := Unmarshal(reseal(data, 32+4*len(a.Algo), []byte{0, 0, 0, 0x40})); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("vertex count 2^30: got %v", err)
+	}
+	// Bytes after the routing section, resealed.
+	if _, err := Unmarshal(reseal(append(slices.Clone(data[:len(data)-8]), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0, nil)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("trailing bytes: got %v", err)
 	}
 
 	if err := os.WriteFile(filepath.Join(t.TempDir(), "x"), nil, 0o644); err != nil {
@@ -160,15 +176,16 @@ func TestTypedDecodeErrors(t *testing.T) {
 	}
 }
 
-// flippedEdgeKey returns a copy of an artifact word stream whose last graph
-// edge key (u,v) is rewritten as (v,u): still strictly increasing, but not
-// the canonical u<v form Marshal writes.
-func flippedEdgeKey(words []int64) []int64 {
-	w := append([]int64(nil), words...)
-	last := 5 + int(w[4]) + 2 + int(w[5+int(w[4])+1]) - 1
-	u, v := graph.UnpackEdgeKey(w[last])
-	w[last] = int64(v)<<32 | int64(u)
-	return w
+// flippedEdgeKey returns a's file, resealed, with its last graph edge key
+// (u,v) rewritten as (v,u): still strictly increasing, but not the
+// canonical u<v form Marshal writes. The keys follow the 8-byte magic,
+// version and seed, the 4-byte k, name length, name bytes and n, and the
+// 8-byte edge count.
+func flippedEdgeKey(a *Artifact) []byte {
+	data := a.Marshal()
+	last := 16 + 8 + 4 + 4 + 4*len(a.Algo) + 4 + 8 + 8*(a.Graph.M()-1)
+	u, v := graph.UnpackEdgeKey(int64(binary.LittleEndian.Uint64(data[last:])))
+	return reseal(data, last, binary.LittleEndian.AppendUint64(nil, uint64(int64(v)<<32|int64(u))))
 }
 
 // TestDecodeCanonical pins the canonical-decode contract the checksum memo
@@ -176,7 +193,7 @@ func flippedEdgeKey(words []int64) []int64 {
 // and a decoded artifact's Checksum is the footer it was verified against.
 func TestDecodeCanonical(t *testing.T) {
 	a := testArtifact(t, 60, 2, 3)
-	if _, err := Unmarshal(wordsToBytes(flippedEdgeKey(a.Words()))); !errors.Is(err, ErrCorrupt) {
+	if _, err := Unmarshal(flippedEdgeKey(a)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("non-canonical graph edge key: got %v, want ErrCorrupt", err)
 	}
 	data := a.Marshal()
@@ -187,7 +204,7 @@ func TestDecodeCanonical(t *testing.T) {
 	if !bytes.Equal(b.Marshal(), data) {
 		t.Fatal("decoded artifact re-marshals to different bytes")
 	}
-	want := fnvWords(a.Words())
+	want := codec.Sum(a.image())
 	if b.Checksum() != want || a.Checksum() != want {
 		t.Fatalf("Checksum: decoded %#x, built %#x, want %#x", b.Checksum(), a.Checksum(), want)
 	}
@@ -198,7 +215,7 @@ func TestDecodeCanonical(t *testing.T) {
 // the same value.
 func TestChecksumConcurrent(t *testing.T) {
 	a := testArtifact(t, 80, 2, 4)
-	want := fnvWords(a.Words())
+	want := codec.Sum(a.image())
 	var wg sync.WaitGroup
 	sums := make([]int64, 8)
 	for i := range sums {
@@ -224,7 +241,7 @@ func TestMarshalFooterIsChecksum(t *testing.T) {
 		return int64(binary.LittleEndian.Uint64(data[len(data)-8:]))
 	}
 	before := testArtifact(t, 80, 2, 6)
-	want := fnvWords(before.Words())
+	want := codec.Sum(before.image())
 	if got := before.Checksum(); got != want {
 		t.Fatalf("Checksum %#x, want %#x", got, want)
 	}
@@ -246,17 +263,12 @@ func TestMarshalFooterIsChecksum(t *testing.T) {
 	}
 }
 
-// wordsToBytes reseals a word stream with a fresh checksum, for building
-// adversarial-but-checksummed inputs.
-func wordsToBytes(words []int64) []byte {
-	sealed := append(append([]int64(nil), words...), fnvWords(words))
-	buf := make([]byte, 8*len(sealed))
-	for i, v := range sealed {
-		for s := 0; s < 8; s++ {
-			buf[8*i+s] = byte(uint64(v) >> (8 * s))
-		}
-	}
-	return buf
+// reseal returns a copy of file with b written at offset off and a fresh
+// checksum footer, for building adversarial-but-checksummed inputs.
+func reseal(file []byte, off int, b []byte) []byte {
+	body := slices.Clone(file[:len(file)-8])
+	copy(body[off:], b)
+	return binary.LittleEndian.AppendUint64(body, uint64(codec.Sum(body)))
 }
 
 func BenchmarkArtifactCodec(b *testing.B) {

@@ -1,14 +1,13 @@
 package artifact
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 
+	"spanner/internal/codec"
 	"spanner/internal/graph"
 	"spanner/internal/oracle"
 	"spanner/internal/routing"
@@ -17,7 +16,10 @@ import (
 const (
 	// deltaMagic spells "SPANDLT1" as little-endian ASCII.
 	deltaMagic   int64 = 0x3154_4c44_4e41_5053
-	deltaVersion int64 = 1
+	deltaVersion int64 = 2
+	// deltaMinLen is the shortest delta file: header, base checksum,
+	// segment count and footer.
+	deltaMinLen = 16 + 8 + 4 + 8
 )
 
 // ErrBaseMismatch reports a delta applied to an artifact that is not the
@@ -50,7 +52,7 @@ func (s *DeltaSegment) Updates() int {
 // is strict: the base artifact's checksum must match BaseSum, and every
 // patch operation must be consistent with the state it patches.
 type Delta struct {
-	// BaseSum is the FNV checksum (Artifact.Checksum) of the base
+	// BaseSum is the checksum (Artifact.Checksum) of the base
 	// generation this delta applies to.
 	BaseSum  int64
 	Segments []DeltaSegment
@@ -65,13 +67,13 @@ func (d *Delta) Updates() int {
 	return total
 }
 
-// Checksum returns the FNV-1a checksum of the artifact's word stream — the
+// Checksum returns the checksum of the artifact's image (codec.Sum) — the
 // generation identity deltas bind to. Two artifacts have equal checksums
 // iff they marshal to identical bytes. The value is computed at most once
 // per artifact (Unmarshal stamps it from the footer it verified), so an
 // artifact must not be mutated once built or decoded.
 func (a *Artifact) Checksum() int64 {
-	a.sum.once.Do(func() { a.sum.v = streamSum(a.encode) })
+	a.sum.once.Do(func() { a.sum.v = codec.Sum(a.image()) })
 	return a.sum.v
 }
 
@@ -83,7 +85,7 @@ type checksumMemo struct {
 }
 
 // Diff computes the single-segment delta that patches base into next. Both
-// artifacts must be over the same vertex count; oracle and routing words
+// artifacts must be over the same vertex count; oracle and routing sections
 // are not diffed — Apply rebuilds them deterministically from the patched
 // graph and the base's K and Seed.
 func Diff(base, next *Artifact) (*Delta, error) {
@@ -251,75 +253,57 @@ func checkKey(k int64, n, seg int, what string) error {
 	return nil
 }
 
-// Words serializes the delta (without the checksum footer Marshal appends):
+// encode writes the delta's values (without the checksum footer):
 //
 //	deltaMagic | deltaVersion | baseSum | segCount |
-//	per segment: 4 stats words, then 4 × (len | keys...) in the order
+//	per segment: 4 stats values, then 4 × (len | keys...) in the order
 //	GraphAdd GraphDel SpanAdd SpanDel
-func (d *Delta) Words() []int64 {
-	w := []int64{deltaMagic, deltaVersion, d.BaseSum, int64(len(d.Segments))}
+//
+// The segment count takes 4 bytes; everything else takes 8.
+func (d *Delta) encode(w *codec.Writer) {
+	w.Int64s([]int64{deltaMagic, deltaVersion, d.BaseSum})
+	w.Int(int64(len(d.Segments)))
 	for i := range d.Segments {
 		seg := &d.Segments[i]
-		w = append(w, seg.Stats.Admitted, seg.Stats.Filtered, seg.Stats.Repaired, seg.Stats.Rebuilds)
+		w.Int64s([]int64{seg.Stats.Admitted, seg.Stats.Filtered, seg.Stats.Repaired, seg.Stats.Rebuilds})
 		for _, list := range [][]int64{seg.GraphAdd, seg.GraphDel, seg.SpanAdd, seg.SpanDel} {
-			w = append(w, int64(len(list)))
-			w = append(w, list...)
+			w.Int64(int64(len(list)))
+			w.Int64s(list)
 		}
 	}
-	return w
 }
 
-// Marshal renders the delta as bytes: word stream plus FNV footer.
+// Marshal renders the delta as bytes: its image plus the checksum footer.
 func (d *Delta) Marshal() []byte {
-	words := d.Words()
-	words = append(words, fnvWords(words))
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
+	w := codec.NewWriter(0)
+	d.encode(w)
+	return w.Seal()
 }
 
 // UnmarshalDelta decodes delta bytes produced by Marshal. Failures are
 // typed (ErrTruncated, ErrChecksum, ErrMagic, ErrVersion, ErrCorrupt) and
 // malformed input never panics (fuzzed by FuzzDeltaDecode).
 func UnmarshalDelta(data []byte) (*Delta, error) {
-	if len(data)%8 != 0 || len(data) < 5*8 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+	r, _, err := codec.Open(data, deltaMagic, deltaVersion, deltaMinLen)
+	if err != nil {
+		return nil, err
 	}
-	words := make([]int64, len(data)/8)
-	for i := range words {
-		words[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	body, sum := words[:len(words)-1], words[len(words)-1]
-	if body[0] != deltaMagic {
-		return nil, fmt.Errorf("%w: not a delta file", ErrMagic)
-	}
-	if body[1] != deltaVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], deltaVersion)
-	}
-	if fnvWords(body) != sum {
-		return nil, ErrChecksum
-	}
-	r := &reader{buf: body, pos: 2}
-	d := &Delta{BaseSum: r.get()}
-	segs := r.count(8) // each segment holds at least 4 stats + 4 length words
-	if r.err != nil {
-		return nil, r.err
-	}
-	d.Segments = make([]DeltaSegment, segs)
-	for si := 0; si < segs; si++ {
+	d := &Delta{BaseSum: r.Int64()}
+	// Each segment holds 4 stats and 4 length values of 8 bytes.
+	d.Segments = make([]DeltaSegment, r.Count(64))
+	for si := range d.Segments {
 		seg := &d.Segments[si]
-		seg.Stats = SegmentStats{Admitted: r.get(), Filtered: r.get(), Repaired: r.get(), Rebuilds: r.get()}
-		if r.err == nil && (seg.Stats.Admitted < 0 || seg.Stats.Filtered < 0 || seg.Stats.Repaired < 0 || seg.Stats.Rebuilds < 0) {
+		seg.Stats = SegmentStats{Admitted: r.Int64(), Filtered: r.Int64(), Repaired: r.Int64(), Rebuilds: r.Int64()}
+		if seg.Stats.Admitted < 0 || seg.Stats.Filtered < 0 || seg.Stats.Repaired < 0 || seg.Stats.Rebuilds < 0 {
 			return nil, fmt.Errorf("%w: segment %d has negative stats", ErrCorrupt, si)
 		}
 		for li, dst := range []*[]int64{&seg.GraphAdd, &seg.GraphDel, &seg.SpanAdd, &seg.SpanDel} {
-			cnt := r.count(1)
-			keys := r.slice(cnt)
-			if r.err != nil {
-				return nil, r.err
+			cnt := r.Count64(8)
+			if cnt == 0 {
+				continue
 			}
+			keys := make([]int64, cnt)
+			r.Int64s(keys)
 			prev := int64(-1)
 			for _, k := range keys {
 				u, v := graph.UnpackEdgeKey(k)
@@ -328,16 +312,14 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 				}
 				prev = k
 			}
-			if cnt > 0 {
-				*dst = append([]int64(nil), keys...)
-			}
+			*dst = keys
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
+	if r.Left() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Left())
 	}
 	return d, nil
 }
@@ -345,26 +327,7 @@ func UnmarshalDelta(data []byte) (*Delta, error) {
 // SaveDelta writes the delta to path via temp file and rename (the same
 // torn-write discipline as Save).
 func SaveDelta(path string, d *Delta) error {
-	buf := d.Marshal()
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".delta-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeAtomic(path, d.Marshal())
 }
 
 // LoadDelta memory-loads a delta file written by SaveDelta.

@@ -86,10 +86,10 @@ func TestGoldenBytes(t *testing.T) {
 		art  *Artifact
 		want string
 	}{
-		{"gnp", gnp, "8bc7c74110fd30ed2fee8678d13bb3d507df33288dd0e99264290188e1f21b87"},
-		{"grid", gridArt, "b18dd464068849e4ab725a47b484d46d70ee0d8bd7bf194095355ff4cc2fb98c"},
-		{"forest", forestArt, "8498e9a2190c121ddcd49f141ea385b6de14975f579be32c4ab50e152f6d15f1"},
-		{"delta-apply", applied, "b80b2ad12439b87fcc0f816a95d95be788da71e3e4922c72a6face902c58d981"},
+		{"gnp", gnp, "26c32dce9d89662968b210693336f301df0b168225a373632de1e4e671fa8a20"},
+		{"grid", gridArt, "f3a06bfef0ffcfee570692dce309c4aadf1a95b36b92b8ebde889b905604c332"},
+		{"forest", forestArt, "0f52a9131e3f933e6be972ec839d21fcd9986d5c28e119f8dbc20a0a6ba8c115"},
+		{"delta-apply", applied, "47a95125c508211c5da69bb4a2e119204d73254c061ffc385ac13779b3e7064f"},
 	}
 	for _, c := range cases {
 		sum := sha256.Sum256(c.art.Marshal())

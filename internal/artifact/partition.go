@@ -1,34 +1,42 @@
 // Partitioned artifacts: a built artifact can be split into K parts, each
 // holding a slice of the graph plus a replicated boundary, and a partition
 // map that describes the split and pins every part by checksum. Both are
-// word-stream files in the artifact format conventions: magic word, version
-// word, length-prefixed sections, FNV-1a footer, deterministic encoding,
+// codec images in the artifact's conventions: magic, version,
+// length-prefixed sections, checksum footer, deterministic encoding,
 // bounds-checked decoding with typed errors (fuzzed by
 // FuzzPartitionMapDecode and FuzzPartDecode).
 //
 // The map and the parts reference each other without a checksum cycle: a
-// split is identified by SplitID — an FNV fold of (base artifact checksum,
-// K, seed) — which every part carries, while the map additionally pins each
+// split is identified by SplitID — a checksum over (base artifact
+// checksum, K, seed) — which every part carries, while the map additionally pins each
 // part's exact file content by checksum. A router loads the map, verifies
 // each part against its pinned checksum, and refuses mixed-split or
 // tampered part sets.
 package artifact
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"spanner/internal/codec"
 )
 
 const (
 	// partMagic spells "SPANPRT1" as little-endian ASCII.
 	partMagic   int64 = 0x3154_5250_4e41_5053
-	partVersion int64 = 1
+	partVersion int64 = 2
+	// partMinLen is the shortest part file: header, split id, id, K, the
+	// two set lengths, the artifact length, an artifact's header and the
+	// footer.
+	partMinLen = 16 + 8 + 4 + 4 + 4 + 4 + 8 + 16 + 8
 	// mapMagic spells "SPANMAP1" as little-endian ASCII.
 	mapMagic   int64 = 0x3150_414d_4e41_5053
-	mapVersion int64 = 1
+	mapVersion int64 = 2
+	// mapMinLen is the shortest map file: header, split id, base checksum,
+	// K, N, the part count and the footer.
+	mapMinLen = 16 + 8 + 8 + 4 + 4 + 4 + 8
 )
 
 // Typed partition-set validation failures, matchable with errors.Is.
@@ -46,7 +54,9 @@ var (
 // Every part and the map carry it, so a part from a stale or foreign split
 // can be rejected without a checksum cycle between map and parts.
 func ComputeSplitID(baseChecksum int64, k int, seed int64) int64 {
-	return fnvWords([]int64{partMagic, baseChecksum, int64(k), seed})
+	w := codec.NewWriter(32)
+	w.Int64s([]int64{partMagic, baseChecksum, int64(k), seed})
+	return codec.Sum(w.Bytes())
 }
 
 // Part is one partition's self-contained serving slice: the embedded
@@ -84,100 +94,67 @@ func (p *Part) Owns(v int32) bool {
 	return v >= 0 && int(v) < len(p.Owned) && p.Owned[v]
 }
 
-// appendVertexList appends the sorted list of set indices as a
+// writeVertexList writes the sorted list of set indices as a
 // length-prefixed section.
-func appendVertexList(w []int64, set []bool) []int64 {
-	cnt := 0
-	for _, b := range set {
+func writeVertexList(w *codec.Writer, set []bool) {
+	w.Int(int64(setSize(set)))
+	for v, b := range set {
 		if b {
+			w.Int(int64(v))
+		}
+	}
+}
+
+// setSize returns the number of members of set.
+func setSize(set []bool) int {
+	cnt := 0
+	for _, in := range set {
+		if in {
 			cnt++
 		}
 	}
-	w = append(w, int64(cnt))
-	for v, b := range set {
-		if b {
-			w = append(w, int64(v))
-		}
-	}
+	return cnt
+}
+
+// encode writes the part's values (without the checksum footer): its
+// header and vertex sets, then the embedded artifact's image.
+func (p *Part) encode(w *codec.Writer) {
+	w.Int64s([]int64{partMagic, partVersion, p.SplitID})
+	w.Int(int64(p.ID))
+	w.Int(int64(p.K))
+	writeVertexList(w, p.Owned)
+	writeVertexList(w, p.Boundary)
+	w.Int64(int64(p.Art.wordLen()))
+	p.Art.encode(w)
+}
+
+// image renders the part's image, with room for the footer.
+func (p *Part) image() *codec.Writer {
+	size := 16 + 8 + 4*(4+setSize(p.Owned)+setSize(p.Boundary)) + 8 + p.Art.imageLen()
+	w := codec.NewWriter(size + 8)
+	p.encode(w)
 	return w
 }
 
-// encode streams the part's word stream (without the checksum footer)
-// through emit: its header and vertex sets, then the embedded artifact's
-// stream.
-func (p *Part) encode(emit func([]int64)) {
-	w := []int64{partMagic, partVersion, p.SplitID, int64(p.ID), int64(p.K)}
-	w = appendVertexList(w, p.Owned)
-	w = appendVertexList(w, p.Boundary)
-	emit(append(w, int64(p.Art.wordLen())))
-	p.Art.encode(emit)
-}
-
-// wordLen returns the length of the part's word stream.
-func (p *Part) wordLen() int {
-	cnt := 0
-	for _, set := range [][]bool{p.Owned, p.Boundary} {
-		for _, in := range set {
-			if in {
-				cnt++
-			}
-		}
-	}
-	return 8 + cnt + p.Art.wordLen()
-}
-
-// Words serializes the part to its word stream (without the checksum
-// footer Marshal appends).
-func (p *Part) Words() []int64 { return streamWords(p.wordLen(), p.encode) }
-
-// Checksum returns the FNV fold of the part's word stream — the value the
+// Checksum returns the checksum of the part's image — the value the
 // partition map pins and replicas report as their generation checksum.
-func (p *Part) Checksum() int64 { return streamSum(p.encode) }
+func (p *Part) Checksum() int64 { return codec.Sum(p.image().Bytes()) }
 
-// Marshal renders the part as its on-disk bytes: word stream plus FNV
-// footer, little-endian.
-func (p *Part) Marshal() []byte {
-	buf, sum := streamBytes(p.wordLen(), p.encode, true)
-	return binary.LittleEndian.AppendUint64(buf, uint64(sum))
-}
-
-// decodeWords converts little-endian bytes to words and peels the FNV
-// footer, validating magic, version and checksum.
-func decodeWords(data []byte, wantMagic, wantVersion int64, minWords int) ([]int64, error) {
-	if len(data)%8 != 0 || len(data) < 8*minWords {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
-	}
-	words := make([]int64, len(data)/8)
-	for i := range words {
-		words[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	body, sum := words[:len(words)-1], words[len(words)-1]
-	if body[0] != wantMagic {
-		return nil, ErrMagic
-	}
-	if body[1] != wantVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[1], wantVersion)
-	}
-	if fnvWords(body) != sum {
-		return nil, ErrChecksum
-	}
-	return body, nil
-}
+// Marshal renders the part as its on-disk bytes: image plus checksum
+// footer.
+func (p *Part) Marshal() []byte { return p.image().Seal() }
 
 // readVertexSet decodes a sorted vertex list section into a []bool of
 // length n, rejecting out-of-range, unsorted or duplicate entries.
-func readVertexSet(r *reader, n int, what string) ([]bool, error) {
-	cnt := r.count(1)
-	if r.err != nil {
-		return nil, r.err
+func readVertexSet(r *codec.Reader, n int, what string) ([]bool, error) {
+	cnt := r.Count(4)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	set := make([]bool, n)
 	prev := int64(-1)
 	for i := 0; i < cnt; i++ {
-		v := r.get()
-		if r.err != nil {
-			return nil, r.err
-		}
+		v := r.Int()
 		if v <= prev || v >= int64(n) {
 			return nil, fmt.Errorf("%w: %s vertex %d at index %d", ErrCorrupt, what, v, i)
 		}
@@ -190,24 +167,20 @@ func readVertexSet(r *reader, n int, what string) ([]bool, error) {
 // UnmarshalPart decodes part bytes produced by Part.Marshal. All failures
 // are typed; malformed input never panics.
 func UnmarshalPart(data []byte) (*Part, error) {
-	body, err := decodeWords(data, partMagic, partVersion, 9)
+	r, _, err := codec.Open(data, partMagic, partVersion, partMinLen)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{buf: body, pos: 2}
-	p := &Part{SplitID: r.get(), ID: int(r.get()), K: int(r.get())}
-	if r.err != nil {
-		return nil, r.err
-	}
+	p := &Part{SplitID: r.Int64(), ID: int(r.Int()), K: int(r.Int())}
 	if p.K < 1 || p.K > 1<<20 || p.ID < 0 || p.ID >= p.K {
 		return nil, fmt.Errorf("%w: partition id %d of %d", ErrCorrupt, p.ID, p.K)
 	}
 	// The vertex sets are bounded by n, which lives inside the embedded
-	// artifact further along the stream, so decode them against a
+	// artifact further along the image, so decode them against a
 	// permissive bound first and re-validate against the artifact's n
-	// afterwards. The oracle section always holds > n words, so any valid
-	// vertex id fits under len(body).
-	permissive := len(body)
+	// afterwards. The oracle section always holds > n values of 4 bytes,
+	// so any valid vertex id fits under the bytes left / 4.
+	permissive := r.Left() / 4
 	owned, err := readVertexSet(r, permissive, "owned")
 	if err != nil {
 		return nil, err
@@ -216,25 +189,19 @@ func UnmarshalPart(data []byte) (*Part, error) {
 	if err != nil {
 		return nil, err
 	}
-	alen := r.count(1)
-	if r.err != nil {
-		return nil, r.err
-	}
-	aw := r.slice(alen)
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
-	}
-	// The part's footer already covered the embedded words: decode them in
-	// place, hashing them once for the artifact's checksum.
-	if len(aw) < 7 {
-		return nil, fmt.Errorf("embedded artifact: %w: %d bytes", ErrTruncated, 8*(len(aw)+1))
-	}
-	if err := checkHeader(aw); err != nil {
+	alen := r.Count64(4)
+	// The part's footer already covered the embedded image: decode it in
+	// place, hashing it once for the artifact's checksum.
+	sum := codec.Sum(r.Rest())
+	if err := r.Header(magic, version); err != nil {
 		return nil, fmt.Errorf("embedded artifact: %w", err)
 	}
-	art, err := decodeBody(aw, fnvWords(aw))
+	art, err := decodeBody(r, sum)
 	if err != nil {
 		return nil, fmt.Errorf("embedded artifact: %w", err)
+	}
+	if art.wordLen() != alen {
+		return nil, fmt.Errorf("%w: embedded artifact of %d values, its length says %d", ErrCorrupt, art.wordLen(), alen)
 	}
 	n := art.Graph.N()
 	p.Owned = make([]bool, n)
@@ -315,74 +282,63 @@ type PartitionMap struct {
 	Parts []PartRef
 }
 
-// Words serializes the map to its word stream (without the checksum footer
-// Marshal appends).
-func (m *PartitionMap) Words() []int64 {
-	w := make([]int64, 0, 8+m.N+6*len(m.Parts))
-	w = append(w, mapMagic, mapVersion, m.SplitID, m.BaseChecksum, int64(m.K), int64(m.N))
-	for _, o := range m.Owner {
-		w = append(w, int64(o))
-	}
-	w = append(w, int64(len(m.Parts)))
+// encode writes the map's values (without the checksum footer). The split
+// id and the checksums take 8 bytes; everything else takes 4.
+func (m *PartitionMap) encode(w *codec.Writer) {
+	w.Int64s([]int64{mapMagic, mapVersion, m.SplitID, m.BaseChecksum})
+	w.Int(int64(m.K))
+	w.Int(int64(m.N))
+	w.Int32s(m.Owner)
+	w.Int(int64(len(m.Parts)))
 	for _, p := range m.Parts {
-		w = append(w, int64(p.ID), p.Checksum, int64(p.Vertices), int64(len(p.Path)))
+		w.Int(int64(p.ID))
+		w.Int64(p.Checksum)
+		w.Int(int64(p.Vertices))
+		w.Int(int64(len(p.Path)))
 		for i := 0; i < len(p.Path); i++ {
-			w = append(w, int64(p.Path[i]))
+			w.Int(int64(p.Path[i]))
 		}
 	}
+}
+
+// image renders the map's image, with room for the footer.
+func (m *PartitionMap) image() *codec.Writer {
+	w := codec.NewWriter(mapMinLen + 4*len(m.Owner) + 20*len(m.Parts))
+	m.encode(w)
 	return w
 }
 
-// Checksum returns the FNV fold of the map's word stream.
-func (m *PartitionMap) Checksum() int64 { return fnvWords(m.Words()) }
+// Checksum returns the checksum of the map's image.
+func (m *PartitionMap) Checksum() int64 { return codec.Sum(m.image().Bytes()) }
 
 // Marshal renders the map as its on-disk bytes.
-func (m *PartitionMap) Marshal() []byte {
-	words := m.Words()
-	words = append(words, fnvWords(words))
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
-}
+func (m *PartitionMap) Marshal() []byte { return m.image().Seal() }
 
 // UnmarshalPartitionMap decodes map bytes produced by PartitionMap.Marshal.
 // Structural failures — truncation, owner ids out of range, duplicate or
 // out-of-range partition ids, part count not matching K — are typed and
 // never panic.
 func UnmarshalPartitionMap(data []byte) (*PartitionMap, error) {
-	body, err := decodeWords(data, mapMagic, mapVersion, 8)
+	r, _, err := codec.Open(data, mapMagic, mapVersion, mapMinLen)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{buf: body, pos: 2}
-	m := &PartitionMap{SplitID: r.get(), BaseChecksum: r.get(), K: int(r.get())}
-	if r.err != nil {
-		return nil, r.err
-	}
+	m := &PartitionMap{SplitID: r.Int64(), BaseChecksum: r.Int64(), K: int(r.Int())}
 	if m.K < 1 || m.K > 1<<20 {
 		return nil, fmt.Errorf("%w: partition count %d", ErrCorrupt, m.K)
 	}
-	n := r.count(1)
-	if r.err != nil {
-		return nil, r.err
-	}
-	m.N = n
-	m.Owner = make([]int32, n)
-	for v := 0; v < n; v++ {
-		o := r.get()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if o < 0 || o >= int64(m.K) {
+	m.N = r.Count(4)
+	m.Owner = make([]int32, m.N)
+	r.Int32s(m.Owner)
+	for v, o := range m.Owner {
+		if o < 0 || int(o) >= m.K {
 			return nil, fmt.Errorf("%w: owner %d of vertex %d out of [0,%d)", ErrCorrupt, o, v, m.K)
 		}
-		m.Owner[v] = int32(o)
 	}
-	np := r.count(4)
-	if r.err != nil {
-		return nil, r.err
+	// A part ref is at least an id, a checksum, a count and a path length.
+	np := r.Count(20)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if np != m.K {
 		return nil, fmt.Errorf("%w: %d part refs for K=%d", ErrCorrupt, np, m.K)
@@ -390,12 +346,7 @@ func UnmarshalPartitionMap(data []byte) (*PartitionMap, error) {
 	seen := make([]bool, m.K)
 	m.Parts = make([]PartRef, 0, np)
 	for i := 0; i < np; i++ {
-		id := r.get()
-		sum := r.get()
-		verts := r.get()
-		if r.err != nil {
-			return nil, r.err
-		}
+		id, sum, verts := r.Int(), r.Int64(), r.Int()
 		if id < 0 || id >= int64(m.K) {
 			return nil, fmt.Errorf("%w: part ref id %d out of [0,%d)", ErrCorrupt, id, m.K)
 		}
@@ -403,28 +354,24 @@ func UnmarshalPartitionMap(data []byte) (*PartitionMap, error) {
 			return nil, fmt.Errorf("%w: duplicate partition id %d", ErrCorrupt, id)
 		}
 		seen[id] = true
-		if verts < 0 || verts > int64(n) {
-			return nil, fmt.Errorf("%w: part %d owns %d of %d vertices", ErrCorrupt, id, verts, n)
+		if verts < 0 || verts > int64(m.N) {
+			return nil, fmt.Errorf("%w: part %d owns %d of %d vertices", ErrCorrupt, id, verts, m.N)
 		}
-		plen := r.count(1)
-		if r.err != nil {
-			return nil, r.err
-		}
-		path := make([]byte, plen)
+		path := make([]byte, r.Count(4))
 		for j := range path {
-			c := r.get()
-			if r.err == nil && (c < 0 || c > 255) {
+			c := r.Int()
+			if c < 0 || c > 255 {
 				return nil, fmt.Errorf("%w: part path byte %d", ErrCorrupt, c)
 			}
 			path[j] = byte(c)
 		}
 		m.Parts = append(m.Parts, PartRef{ID: int(id), Checksum: sum, Path: string(path), Vertices: int(verts)})
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing words", ErrCorrupt, len(body)-r.pos)
+	if r.Left() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Left())
 	}
 	return m, nil
 }

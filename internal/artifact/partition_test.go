@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"spanner/internal/codec"
 )
 
 // testSplit fabricates a K-part split over a test artifact for codec
@@ -98,7 +100,7 @@ func TestPartRoundTrip(t *testing.T) {
 
 // TestPartEmbeddedChecksum: a decoded part's artifact carries the source
 // artifact's checksum. The decoder takes it from one hash of the embedded
-// words; the source computed its own by streaming its encoder.
+// image; the source computed its own by rendering its encoder's image.
 func TestPartEmbeddedChecksum(t *testing.T) {
 	_, parts := testSplit(t, 3)
 	for _, p := range parts {
@@ -109,7 +111,7 @@ func TestPartEmbeddedChecksum(t *testing.T) {
 		if got, want := q.Art.Checksum(), p.Art.Checksum(); got != want {
 			t.Fatalf("part %d: embedded artifact checksum %#x, source %#x", p.ID, got, want)
 		}
-		if got, want := q.Art.Checksum(), streamSum(q.Art.encode); got != want {
+		if got, want := q.Art.Checksum(), codec.Sum(q.Art.image()); got != want {
 			t.Fatalf("part %d: decoded checksum %#x, re-encoded %#x", p.ID, got, want)
 		}
 	}

@@ -130,7 +130,7 @@ func (r *Replica) Ready() (bool, string) {
 // checksumOf returns the content checksum identifying what snap serves —
 // the part checksum for a partition snapshot (what the partition map pins),
 // the artifact checksum otherwise — memoized per engine snapshot id so the
-// probe loop doesn't refold the FNV every round.
+// probe loop doesn't recompute it every round.
 func (r *Replica) checksumOf(snap *serve.Snapshot) int64 {
 	r.mu.Lock()
 	if sum, ok := r.sums[snap.ID]; ok {

@@ -2,17 +2,22 @@
 // arrays: every row's entries sorted by key in one entry slab, and a
 // per-row open-addressed hash index over them in one slot slab. The oracle's
 // bunches and the routing scheme's vicinity tables are such maps. A table
-// is a handful of allocations whatever the vertex count, the codecs stream
+// is a handful of allocations whatever the vertex count, Encode writes
 // each row in key order as stored, and a lookup probes the row's index —
 // hashing, because binary search over the sorted rows is slower than a Go
 // map.
 //
-// A row is either present (possibly empty) or absent; the codecs write an
+// A row is either present (possibly empty) or absent; Encode writes an
 // absent row as -1 and a present one as its length, so the distinction
 // survives a round trip. Rows are immutable once built.
 package flatmap
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+
+	"spanner/internal/codec"
+)
 
 // Entry is one key/value pair of a row.
 type Entry struct{ Key, Val int32 }
@@ -83,21 +88,58 @@ func (r *Rows) Row(v int32) []Entry { return r.ent[r.off[v]:r.off[v+1]] }
 // Present reports whether row v is present (it may still be empty).
 func (r *Rows) Present(v int32) bool { return r.hoff[v+1] > r.hoff[v] }
 
-// WordLen returns the length of the rows' word encoding: per row, -1 when
+// WordLen returns the number of values Encode writes: per row, -1 when
 // absent, else its length followed by key, value pairs.
 func (r *Rows) WordLen() int { return r.N() + 2*len(r.ent) }
 
-// AppendWords appends row v's word encoding to w.
-func (r *Rows) AppendWords(w []int64, v int32) []int64 {
-	if !r.Present(v) {
-		return append(w, -1)
+// Encode writes the rows as 4-byte values.
+func (r *Rows) Encode(w *codec.Writer) {
+	for v := int32(0); int(v) < r.N(); v++ {
+		if !r.Present(v) {
+			w.Int(-1)
+			continue
+		}
+		row := r.Row(v)
+		w.Int(int64(len(row)))
+		for _, e := range row {
+			w.Int(int64(e.Key))
+			w.Int(int64(e.Val))
+		}
 	}
-	row := r.Row(v)
-	w = append(w, int64(len(row)))
-	for _, e := range row {
-		w = append(w, int64(e.Key), int64(e.Val))
+}
+
+// Decode reads n rows written by Encode. It accepts only what Encode could
+// have written for keys and values in [0, limit): keys strictly increasing
+// within a row, and -1 as the only negative length.
+func Decode(rd *codec.Reader, n, limit int) (*Rows, error) {
+	// A first pass over the row lengths sizes the entry slab exactly.
+	scan, entries := *rd, 0
+	for v := 0; v < n; v++ {
+		switch c := scan.Int(); {
+		case c < -1:
+			return nil, fmt.Errorf("row %d has corrupt length %d", v, c)
+		case c > 0:
+			scan.Skip(8 * int(c))
+			entries += int(c)
+		}
 	}
-	return w
+	if err := scan.Err(); err != nil {
+		return nil, err
+	}
+	b := NewBuilder(n, entries)
+	for v := 0; v < n; v++ {
+		c := rd.Int()
+		for j, prev := int64(0), int64(-1); j < c; j++ {
+			key, val := rd.Int(), rd.Int()
+			if key <= prev || key >= int64(limit) || val < 0 || val >= int64(limit) {
+				return nil, fmt.Errorf("row %d entry %d not sorted in range: %d -> %d", v, j, key, val)
+			}
+			prev = key
+			b.Add(int32(key), int32(val))
+		}
+		b.End(c >= 0)
+	}
+	return b.Rows(), nil
 }
 
 // Builder lays out rows in row order: Add appends to the current row and

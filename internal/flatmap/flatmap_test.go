@@ -2,7 +2,10 @@ package flatmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"spanner/internal/codec"
 )
 
 // TestRowsMatchMaps lays out random rows — absent, present but empty,
@@ -45,9 +48,7 @@ func TestRowsMatchMaps(t *testing.T) {
 			if r.N() != n || r.Len() != len(stage) {
 				t.Fatalf("%s: %d rows, %d entries; want %d, %d", name, r.N(), r.Len(), n, len(stage))
 			}
-			words := 0
 			for v := range want {
-				words += len(r.AppendWords(nil, int32(v)))
 				// FromStaged drops rows that got no entry.
 				present := want[v] != nil && (name == "built" || len(want[v]) > 0)
 				if r.Present(int32(v)) != present {
@@ -70,8 +71,22 @@ func TestRowsMatchMaps(t *testing.T) {
 					}
 				}
 			}
-			if words != r.WordLen() {
-				t.Fatalf("%s: WordLen %d, rows encode to %d words", name, r.WordLen(), words)
+			words := codec.NewWords(0)
+			r.Encode(words)
+			if len(words.Words()) != r.WordLen() {
+				t.Fatalf("%s: WordLen %d, rows encode to %d words", name, r.WordLen(), len(words.Words()))
+			}
+			img := codec.NewWriter(0)
+			r.Encode(img)
+			rd := codec.NewReader(img.Bytes())
+			dec, err := Decode(rd, n, 1000)
+			if err != nil || rd.Left() != 0 {
+				t.Fatalf("%s: decode: %v, %d bytes left", name, err, rd.Left())
+			}
+			for v := range want {
+				if dec.Present(int32(v)) != r.Present(int32(v)) || !slices.Equal(dec.Row(int32(v)), r.Row(int32(v))) {
+					t.Fatalf("%s trial %d: row %d changed in a round trip", name, trial, v)
+				}
 			}
 		}
 

@@ -1,11 +1,46 @@
 package oracle
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"spanner/internal/codec"
 	"spanner/internal/graph"
 )
+
+// imageOf renders an oracle section's logical values as its image: 4 bytes
+// each, except the spanner's length and keys (the last keys+1 values).
+func imageOf(words []int64, keys int) []byte {
+	w := codec.NewWriter(0)
+	for i, v := range words {
+		if i >= len(words)-keys-1 {
+			w.Int64(v)
+		} else {
+			w.Int(int64(int32(v)))
+		}
+	}
+	return w.Bytes()
+}
+
+// image encodes o's section.
+func image(o *Oracle) []byte {
+	w := codec.NewWriter(o.ImageLen())
+	o.Encode(w)
+	return w.Bytes()
+}
+
+// decodeImage decodes a section image over g; bytes the section leaves
+// unread are an error.
+func decodeImage(g *graph.Graph, img []byte) (*Oracle, error) {
+	r := codec.NewReader(img)
+	o, err := Decode(g, r)
+	if err == nil && r.Left() != 0 {
+		err = fmt.Errorf("%d trailing bytes", r.Left())
+	}
+	return o, err
+}
 
 func TestCodecRoundTripIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -15,8 +50,11 @@ func TestCodecRoundTripIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		words := o.Words()
-		o2, err := FromWords(g, words)
+		words, img := o.Words(), image(o)
+		if got := imageOf(words, len(o.spanner)); string(got) != string(img) {
+			t.Fatalf("k=%d: image is not the values at their widths", k)
+		}
+		o2, err := decodeImage(g, img)
 		if err != nil {
 			t.Fatalf("k=%d: decode: %v", k, err)
 		}
@@ -39,16 +77,19 @@ func TestCodecRoundTripIdentical(t *testing.T) {
 			}
 		})
 		// Determinism: encoding twice (and encoding the decoded oracle)
-		// yields the identical stream.
+		// yields the identical values and bytes.
 		again := o.Words()
 		reenc := o2.Words()
-		if len(again) != len(words) || len(reenc) != len(words) {
+		if len(again) != len(words) || len(reenc) != len(words) || o.ImageLen() != len(img) {
 			t.Fatalf("k=%d: stream length unstable", k)
 		}
 		for i := range words {
 			if words[i] != again[i] || words[i] != reenc[i] {
 				t.Fatalf("k=%d: stream differs at word %d", k, i)
 			}
+		}
+		if string(image(o2)) != string(img) {
+			t.Fatalf("k=%d: decoded oracle re-encodes to different bytes", k)
 		}
 	}
 }
@@ -60,30 +101,33 @@ func TestCodecRejectsCorruptStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := o.Words()
-	if _, err := FromWords(g, words[:len(words)/2]); err == nil {
+	img := image(o)
+	if _, err := decodeImage(g, img[:len(img)/2]); err == nil {
 		t.Fatal("truncated stream must error")
 	}
-	if _, err := FromWords(g, nil); err == nil {
+	if _, err := decodeImage(g, nil); err == nil {
 		t.Fatal("empty stream must error")
 	}
-	if _, err := FromWords(graph.Path(3), words); err == nil {
+	if _, err := decodeImage(graph.Path(3), img); err == nil {
 		t.Fatal("wrong graph size must error")
 	}
-	bad := append([]int64(nil), words...)
-	bad[0] = 99 // implausible k
-	if _, err := FromWords(g, bad); err == nil {
+	bad := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint32(bad, 99) // implausible k
+	if _, err := decodeImage(g, bad); err == nil {
 		t.Fatal("implausible k must error")
 	}
-	if _, err := FromWords(g, append(append([]int64(nil), words...), 0)); err == nil {
-		t.Fatal("trailing words must error")
+	// Decode reads exactly its section: whatever follows is left unread.
+	r := codec.NewReader(append(append([]byte(nil), img...), 0, 0, 0, 0))
+	if _, err := Decode(g, r); err != nil || r.Left() != 4 {
+		t.Fatalf("section followed by 4 bytes: %v, %d bytes left", err, r.Left())
 	}
 }
 
-// TestCodecRejectsNonCanonical checks that FromWords accepts only streams
-// Words could have written: reordered or duplicated bunch keys, reordered
-// spanner keys and values that do not fit an int32 would all decode to an
-// oracle whose Words differ from its input, so each must error.
+// TestCodecRejectsNonCanonical checks that Decode accepts only images
+// Encode could have written: reordered or duplicated bunch keys, reordered
+// spanner keys and a witness beyond n would all decode to an oracle whose
+// image differs from its input, so each must error. (A value that does not
+// fit an int32 has no 4-byte image to be written in.)
 func TestCodecRejectsNonCanonical(t *testing.T) {
 	g := graph.ConnectedGnp(60, 0.1, rand.New(rand.NewSource(8)))
 	o, err := New(g, 2, 3)
@@ -112,12 +156,12 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 		},
 		"bunch key duplicated": func(w []int64) { w[first+2] = w[first] },
 		"spanner keys swapped": func(w []int64) { w[spanKeys], w[spanKeys+1] = w[spanKeys+1], w[spanKeys] },
-		"witness beyond int32": func(w []int64) { w[2+n] += 1 << 32 },
+		"witness beyond n":     func(w []int64) { w[2+n] = int64(n) },
 	}
 	for name, corrupt := range cases {
 		bad := append([]int64(nil), words...)
 		corrupt(bad)
-		if _, err := FromWords(g, bad); err == nil {
+		if _, err := decodeImage(g, imageOf(bad, len(o.spanner))); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}

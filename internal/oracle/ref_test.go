@@ -272,7 +272,7 @@ func TestFlatOracleMatchesMapReference(t *testing.T) {
 			ref := newRef(g, k, 5)
 			sameOracle(t, name, o, ref)
 
-			dec, err := FromWords(g, o.Words())
+			dec, err := decodeImage(g, image(o))
 			if err != nil {
 				t.Fatalf("%s k=%d: decode: %v", name, k, err)
 			}
@@ -284,7 +284,7 @@ func TestFlatOracleMatchesMapReference(t *testing.T) {
 			}
 			pruned := o.PruneBunches(keep)
 			sameOracle(t, name+" pruned", pruned, ref.PruneBunches(keep))
-			dec, err = FromWords(g, pruned.Words())
+			dec, err = decodeImage(g, image(pruned))
 			if err != nil {
 				t.Fatalf("%s k=%d: decode pruned: %v", name, k, err)
 			}

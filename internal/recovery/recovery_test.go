@@ -1,9 +1,12 @@
 package recovery
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +42,32 @@ func writeGen(t *testing.T, dir, name string, a *artifact.Artifact, age time.Dur
 	t.Helper()
 	path := filepath.Join(dir, name)
 	if err := artifact.Save(path, a); err != nil {
+		t.Fatal(err)
+	}
+	when := time.Now().Add(-age)
+	if err := os.Chtimes(path, when, when); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeV1 writes a as a format-version-1 artifact file, the layout before
+// version 2: every value of a.Words() as 8 little-endian bytes, version
+// value 1, then the FNV-1a footer over those bytes.
+func writeV1(t *testing.T, dir, name string, a *artifact.Artifact, age time.Duration) string {
+	t.Helper()
+	words := a.Words()
+	words[1] = 1
+	var buf []byte
+	h := uint64(1469598103934665603)
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w))
+	}
+	for _, b := range buf {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, binary.LittleEndian.AppendUint64(buf, h), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	when := time.Now().Add(-age)
@@ -126,13 +155,24 @@ func TestScanQuarantinesCorrupt(t *testing.T) {
 	if err := httpchaos.TornWrite(tornPath, 9); err != nil {
 		t.Fatal(err)
 	}
+	// The newest file is an intact artifact in format version 1: it must
+	// decode to ErrVersion and go to quarantine like the damaged ones.
+	v1Path := writeV1(t, dir, "newest.spanart", testArtifact(t, 120, 5), time.Second)
+	if _, err := artifact.Load(v1Path); !errors.Is(err, artifact.ErrVersion) {
+		t.Fatalf("v1 artifact: %v, want ErrVersion", err)
+	}
 
 	rep, err := Scan(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Quarantined) != 2 {
-		t.Fatalf("quarantined %d files, want 2: %v", len(rep.Quarantined), rep.Quarantined)
+	if len(rep.Quarantined) != 3 {
+		t.Fatalf("quarantined %d files, want 3: %v", len(rep.Quarantined), rep.Quarantined)
+	}
+	if !slices.ContainsFunc(rep.Quarantined, func(q Quarantined) bool {
+		return q.Path == v1Path && errors.Is(q.Err, artifact.ErrVersion)
+	}) {
+		t.Fatalf("v1 artifact not quarantined with ErrVersion: %v", rep.Quarantined)
 	}
 	lg := rep.LastGood()
 	if lg == nil || lg.Path != goodPath {

@@ -3,145 +3,102 @@ package routing
 import (
 	"fmt"
 
+	"spanner/internal/codec"
 	"spanner/internal/flatmap"
 	"spanner/internal/graph"
 )
 
-// Flat word-stream codec for a built routing scheme, following the same
-// conventions as the oracle codec and the distsim checkpoints: length
-// prefixes, tables emitted in key order, bounds-checked decoding. Only the
-// irreducible state is serialized — the landmark set, the per-tree BFS
-// parent arrays, the vicinity-ball tables and the addresses; DFS intervals
-// children lists and depth rows are recomputed deterministically on decode
-// (the same numbering New uses), so a decoded scheme's NextHop and Route
-// decisions are identical to the encoded one's. Decoding is canonical: it
-// accepts only streams Words could have written (direct-table keys strictly
-// increasing, addresses consistent with the trees), so a decoded scheme
-// re-encodes to exactly the words it came from.
+// The routing scheme's section of the artifact image (package codec),
+// following the same conventions as the oracle's: length prefixes, tables
+// written in key order, bounds-checked decoding, and every value bounded
+// by n, so each takes 4 bytes. Only the irreducible state is serialized —
+// the landmark set, the per-tree BFS parent arrays, the vicinity-ball
+// tables and the addresses; DFS intervals, children lists and depth rows
+// are recomputed deterministically on decode (the same numbering New
+// uses), so a decoded scheme's NextHop and Route decisions are identical
+// to the encoded one's. Decoding is canonical: it accepts only images
+// Encode could have written (direct-table keys strictly increasing,
+// addresses consistent with the trees), so a decoded scheme re-encodes to
+// exactly the bytes it came from.
 
-// Words serializes the scheme (everything except the graph) to a flat word
-// stream. Encoding the same scheme twice yields identical streams.
+// Words returns the section's logical values (everything except the
+// graph). Encoding the same scheme twice yields identical values.
 func (s *Scheme) Words() []int64 {
-	w := make([]int64, 0, s.WordLen())
-	s.EncodeWords(func(chunk []int64) { w = append(w, chunk...) })
-	return w
+	w := codec.NewWords(s.WordLen())
+	s.Encode(w)
+	return w.Words()
 }
 
-// WordLen returns the length of the Words stream without building it.
+// WordLen returns the number of values Encode writes.
 func (s *Scheme) WordLen() int {
 	n, t := s.g.N(), len(s.landmarks)
 	return 2 + t + t*n + s.direct.WordLen() + 2*n
 }
 
-// encodeChunk is the number of words EncodeWords gathers before handing
-// them on.
-const encodeChunk = 4096
+// ImageLen returns the number of bytes Encode writes into an image.
+func (s *Scheme) ImageLen() int { return 4 * s.WordLen() }
 
-// EncodeWords streams the Words stream through emit in consecutive chunks,
-// reading the vicinity tables in key order from their storage. A chunk is
-// only valid during its emit call.
-func (s *Scheme) EncodeWords(emit func([]int64)) {
-	n := s.g.N()
-	w := make([]int64, 0, encodeChunk)
-	put := func(x int64) {
-		w = append(w, x)
-		if len(w) >= encodeChunk {
-			emit(w)
-			w = w[:0]
-		}
-	}
-	put(int64(n))
-	put(int64(len(s.landmarks)))
-	for _, l := range s.landmarks {
-		put(int64(l))
-	}
+// Encode writes the section, reading the vicinity tables in key order from
+// their storage.
+func (s *Scheme) Encode(w *codec.Writer) {
+	w.Int(int64(s.g.N()))
+	w.Int(int64(len(s.landmarks)))
+	w.Int32s(s.landmarks)
 	for i := range s.trees {
-		for _, p := range s.trees[i].parent {
-			put(int64(p))
-		}
+		w.Int32s(s.trees[i].parent)
 	}
-	for v := int32(0); int(v) < n; v++ {
-		w = s.direct.AppendWords(w, v)
-		if len(w) >= encodeChunk {
-			emit(w)
-			w = w[:0]
-		}
-	}
+	s.direct.Encode(w)
 	for _, a := range s.addr {
-		put(int64(a.Landmark))
-		put(int64(a.DFS))
+		w.Int(int64(a.Landmark))
+		w.Int(int64(a.DFS))
 	}
-	emit(w)
 }
 
-// wordReader consumes a codec word stream with bounds checking.
-type wordReader struct {
-	buf []int64
-	pos int
-	err error
-}
-
-func (r *wordReader) get() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("routing: truncated stream (offset %d)", r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-// FromWords reconstructs a scheme over g from a Words stream.
-func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
-	r := &wordReader{buf: words}
-	n := int(r.get())
-	t := int(r.get())
-	if r.err != nil {
-		return nil, r.err
+// Decode reads a section Encode wrote for a scheme over g.
+func Decode(g *graph.Graph, r *codec.Reader) (*Scheme, error) {
+	n, t := int(r.Int()), int(r.Int())
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if n != g.N() {
-		return nil, fmt.Errorf("routing: stream is for %d vertices, graph has %d", n, g.N())
+		return nil, fmt.Errorf("routing: section is for %d vertices, graph has %d", n, g.N())
 	}
 	if t < 0 || t > n {
 		return nil, fmt.Errorf("routing: implausible landmark count %d", t)
 	}
+	if (1+n)*t > r.Left()/4 {
+		return nil, fmt.Errorf("routing: %w: %d trees of %d vertices", codec.ErrTruncated, t, n)
+	}
 	landmarks := make([]int32, t)
+	r.Int32s(landmarks)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
 	seen := make([]bool, n)
-	for i := 0; i < t; i++ {
-		l := r.get()
-		if r.err == nil && (l < 0 || int(l) >= n) {
+	for _, l := range landmarks {
+		if l < 0 || int(l) >= n {
 			return nil, fmt.Errorf("routing: landmark %d out of range [0,%d)", l, n)
 		}
-		if r.err == nil && seen[l] {
+		if seen[l] {
 			return nil, fmt.Errorf("routing: duplicate landmark %d", l)
 		}
-		if r.err == nil {
-			seen[l] = true
-		}
-		landmarks[i] = int32(l)
-	}
-	if r.err != nil {
-		return nil, r.err
+		seen[l] = true
 	}
 	s := newScheme(g, landmarks)
-	for i := 0; i < t; i++ {
+	for i, l := range landmarks {
 		parent := s.trees[i].parent
-		for v := 0; v < n; v++ {
-			p := r.get()
-			if r.err == nil && (p < int64(graph.Unreachable) || int(p) >= n) {
+		r.Int32s(parent)
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		for v, p := range parent {
+			if p < graph.Unreachable || int(p) >= n {
 				return nil, fmt.Errorf("routing: tree %d parent of %d out of range: %d", i, v, p)
 			}
-			parent[v] = int32(p)
 		}
-		if r.err == nil && parent[s.landmarks[i]] != s.landmarks[i] {
-			return nil, fmt.Errorf("routing: tree %d root %d is not its own parent", i, s.landmarks[i])
+		if parent[l] != l {
+			return nil, fmt.Errorf("routing: tree %d root %d is not its own parent", i, l)
 		}
-	}
-	if r.err != nil {
-		return nil, r.err
 	}
 	// Rebuild the DFS intervals with New's numbering: a BFS from each root
 	// over its ascending child lists gives an order the numbering takes
@@ -154,48 +111,19 @@ func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
 		queue = kids.walk(l, tr.depth, queue)
 		tr.number(queue)
 	}
-	// Every table entry takes two words and every other table one, so the
-	// words left bound the entries.
-	b := flatmap.NewBuilder(n, max(len(words)-r.pos-n, 0)/2)
-	for v := 0; v < n; v++ {
-		c := r.get()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if c < 0 {
-			if c != -1 {
-				return nil, fmt.Errorf("routing: corrupt table length %d", c)
-			}
-			b.End(false)
-			continue
-		}
-		if c > int64(len(words)-r.pos)/2 {
-			return nil, fmt.Errorf("routing: truncated table of vertex %d", v)
-		}
-		for j, prev := int64(0), int64(-1); j < c; j++ {
-			u, hop := r.get(), r.get()
-			if u <= prev || u >= int64(n) {
-				return nil, fmt.Errorf("routing: table key %d of vertex %d not sorted in range", u, v)
-			}
-			if hop < 0 || hop >= int64(n) {
-				return nil, fmt.Errorf("routing: next hop %d out of range", hop)
-			}
-			prev = u
-			b.Add(int32(u), int32(hop))
-		}
-		b.End(true)
+	var err error
+	if s.direct, err = flatmap.Decode(r, n, n); err != nil {
+		return nil, fmt.Errorf("routing: table %w", err)
 	}
-	s.direct = b.Rows()
 	for v := 0; v < n; v++ {
-		l := r.get()
-		dfs := r.get()
-		if r.err != nil {
-			return nil, r.err
+		l, dfs := r.Int(), r.Int()
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 		want := int64(0) // an address without a landmark has DFS 0
 		if l != int64(graph.Unreachable) {
 			t, ok := s.LandmarkIndexOf(int32(l))
-			if !ok || l != int64(int32(l)) {
+			if !ok {
 				return nil, fmt.Errorf("routing: address of %d names non-landmark %d", v, l)
 			}
 			want = int64(s.trees[t].dfs[v])
@@ -204,12 +132,6 @@ func FromWords(g *graph.Graph, words []int64) (*Scheme, error) {
 			return nil, fmt.Errorf("routing: address of %d has DFS %d, its tree says %d", v, dfs, want)
 		}
 		s.addr[v] = Address{V: int32(v), Landmark: int32(l), DFS: int32(dfs)}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(words) {
-		return nil, fmt.Errorf("routing: %d trailing words", len(words)-r.pos)
 	}
 	return s, nil
 }

@@ -1,11 +1,42 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"spanner/internal/codec"
 	"spanner/internal/graph"
 )
+
+// imageOf renders a routing section's logical values as its image: every
+// value takes 4 bytes.
+func imageOf(words []int64) []byte {
+	w := codec.NewWriter(0)
+	for _, v := range words {
+		w.Int(int64(int32(v)))
+	}
+	return w.Bytes()
+}
+
+// image encodes s's section.
+func image(s *Scheme) []byte {
+	w := codec.NewWriter(s.ImageLen())
+	s.Encode(w)
+	return w.Bytes()
+}
+
+// decodeImage decodes a section image over g; bytes the section leaves
+// unread are an error.
+func decodeImage(g *graph.Graph, img []byte) (*Scheme, error) {
+	r := codec.NewReader(img)
+	s, err := Decode(g, r)
+	if err == nil && r.Left() != 0 {
+		err = fmt.Errorf("%d trailing bytes", r.Left())
+	}
+	return s, err
+}
 
 func TestCodecRoundTripIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -14,8 +45,11 @@ func TestCodecRoundTripIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := s.Words()
-	s2, err := FromWords(g, words)
+	words, img := s.Words(), image(s)
+	if !slices.Equal(imageOf(words), img) {
+		t.Fatal("image is not the values at 4 bytes each")
+	}
+	s2, err := decodeImage(g, img)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -64,6 +98,9 @@ func TestCodecRoundTripIdentical(t *testing.T) {
 			t.Fatalf("stream differs at word %d", i)
 		}
 	}
+	if !slices.Equal(image(s2), img) {
+		t.Fatal("decoded scheme re-encodes to different bytes")
+	}
 }
 
 func TestCodecRejectsCorruptStreams(t *testing.T) {
@@ -74,15 +111,16 @@ func TestCodecRejectsCorruptStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := s.Words()
-	if _, err := FromWords(g, words[:len(words)/3]); err == nil {
+	img := imageOf(words)
+	if _, err := decodeImage(g, img[:len(img)/3]); err == nil {
 		t.Fatal("truncated stream must error")
 	}
-	if _, err := FromWords(graph.Path(5), words); err == nil {
+	if _, err := decodeImage(graph.Path(5), img); err == nil {
 		t.Fatal("wrong graph size must error")
 	}
 	bad := append([]int64(nil), words...)
 	bad[2] = int64(g.N()) + 5 // out-of-range landmark
-	if _, err := FromWords(g, bad); err == nil {
+	if _, err := decodeImage(g, imageOf(bad)); err == nil {
 		t.Fatal("out-of-range landmark must error")
 	}
 }
@@ -109,8 +147,8 @@ func TestLandmarkDistancesExact(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsNonCanonical checks that FromWords accepts only streams
-// Words could have written: reordered or duplicated direct-table keys, an
+// TestCodecRejectsNonCanonical checks that Decode accepts only images
+// Encode could have written: reordered or duplicated direct-table keys, an
 // address whose DFS index disagrees with its landmark's tree, and a tree
 // whose root is not its own parent must all error.
 func TestCodecRejectsNonCanonical(t *testing.T) {
@@ -146,7 +184,7 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 	for name, corrupt := range cases {
 		bad := append([]int64(nil), words...)
 		corrupt(bad)
-		if _, err := FromWords(g, bad); err == nil {
+		if _, err := decodeImage(g, imageOf(bad)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}

@@ -364,7 +364,7 @@ func TestFlatSchemeMatchesMapReference(t *testing.T) {
 			}
 			ref := newRefScheme(g, seed)
 			sameScheme(t, name, s, ref)
-			dec, err := FromWords(g, s.Words())
+			dec, err := decodeImage(g, image(s))
 			if err != nil {
 				t.Fatalf("%s: decode: %v", name, err)
 			}
@@ -374,7 +374,7 @@ func TestFlatSchemeMatchesMapReference(t *testing.T) {
 }
 
 // TestDecodeNumberingMatchesReference numbers decoded parent arrays the
-// way FromWords does — child lists, a walk from the root, then the
+// way Decode does — child lists, a walk from the root, then the
 // numbering — and checks the DFS intervals and depth row against the
 // reference's stack DFS and pointer walk, including parents that hold a
 // cycle off the tree, a second self-parent and an unreached vertex.
