@@ -56,8 +56,8 @@ vet: fmtcheck
 # The robustness gate: every fault-injection, panic-containment,
 # self-healing, reliable-transport and checkpoint/resume test under the
 # race detector, the simulator's pinned outputs (rounds, messages, words,
-# max words and output hashes of every distributed builder, both execution
-# modes, 1, 2 and 4 workers), spanner verification (ViolatedEdges on
+# max words and output hashes of every distributed builder at 1, 2 and 4
+# workers), spanner verification (ViolatedEdges on
 # graph's multi-source BFS kernel) against its per-vertex BFS reference at
 # 1, 2 and 4 workers, plus short fuzz passes over the fault-plan space and
 # the reliable link protocol.
@@ -69,7 +69,8 @@ faultcheck:
 		./internal/distsim/... ./internal/faults/... ./internal/verify/... \
 		./internal/reliable/... ./internal/core/... .
 	$(GO) test -run PinnedOutputs -race -count=1 -cpu 1,2,4 \
-		./internal/distsim/ ./internal/core/ ./internal/fibonacci/ ./internal/oracle/
+		./internal/distsim/ ./internal/core/ ./internal/fibonacci/ ./internal/oracle/ \
+		./internal/baseline/
 	$(GO) test -run ViolatedEdges -race -count=1 -cpu 1,2,4 ./internal/verify/
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/faults
 	$(GO) test -fuzz=FuzzReliableLink -fuzztime=10s ./internal/reliable

@@ -100,10 +100,6 @@ type Options struct {
 	// CheckpointDir instead of starting over; the completed run is
 	// byte-identical to an uninterrupted one.
 	Resume bool
-	// goroutinePerNode runs the distributed build's engine with one
-	// goroutine per vertex (distsim.Config.GoroutinePerNode) instead of the
-	// worker pool; the pinned-output tests check that nothing changes.
-	goroutinePerNode bool
 }
 
 // CallRecord captures one Expand call for analysis.

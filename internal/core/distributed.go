@@ -583,7 +583,7 @@ func BuildSkeletonDistributed(g *graph.Graph, opts Options) (*DistributedResult,
 		Seed: opts.Seed, MsgCap: msgCap, Faults: opts.Faults, Obs: opts.Obs,
 		Label: "skeleton.dist", Reliable: opts.Reliable,
 		CheckpointDir: opts.CheckpointDir, CheckpointEvery: opts.CheckpointEvery,
-		Resume: opts.Resume, goroutinePerNode: opts.goroutinePerNode,
+		Resume: opts.Resume,
 	})
 	if err != nil && opts.Resilience == nil && !opts.Degrade {
 		return nil, err

@@ -48,44 +48,36 @@ func metricsExtra(m distsim.Metrics) []int64 {
 // TestPinnedOutputs compares BuildSkeletonDistributed against outputs
 // recorded before the engine rewrite: 3 seeds × {gnp, grid, isolated}, a
 // run under a fault plan with Degrade, and a reliable-wrapped run under a
-// lossy plan, in the pooled and the goroutine-per-node mode. Run it with
-// -cpu 1,2,4 to cover the worker counts.
+// lossy plan. Run it with -cpu 1,2,4 to cover the worker counts.
 func TestPinnedOutputs(t *testing.T) {
-	for _, perNode := range []bool{false, true} {
-		mode := "pooled"
-		if perNode {
-			mode = "per-node"
-		}
-		t.Run(mode, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				for gname, g := range pinned.Graphs(seed) {
-					res, err := BuildSkeletonDistributed(g, Options{Seed: seed, goroutinePerNode: perNode})
-					if err != nil {
-						t.Fatal(err)
-					}
-					m := res.Metrics
-					pinned.Check(t, pinnedSkeleton, fmt.Sprintf("%s/%d", gname, seed), pinRow(m, pinned.Hash(res.Spanner.Keys())))
+	t.Run("pooled", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			for gname, g := range pinned.Graphs(seed) {
+				res, err := BuildSkeletonDistributed(g, Options{Seed: seed})
+				if err != nil {
+					t.Fatal(err)
 				}
+				m := res.Metrics
+				pinned.Check(t, pinnedSkeleton, fmt.Sprintf("%s/%d", gname, seed), pinRow(m, pinned.Hash(res.Spanner.Keys())))
 			}
-			g := graph.Gnp(300, 8.0/300, rand.New(rand.NewSource(1)))
-			res, err := BuildSkeletonDistributed(g, Options{Seed: 1, goroutinePerNode: perNode,
-				Degrade: true,
-				Faults:  &faults.Plan{Seed: 5, Drop: 0.02, Duplicate: 0.02, Delay: 0.05, DelayRounds: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := res.Metrics
-			pinned.Check(t, pinnedSkeleton, "faulted", pinRow(m, pinned.Hash(res.Spanner.Keys(), metricsExtra(m)...)))
-			small := graph.Gnp(100, 6.0/100, rand.New(rand.NewSource(1)))
-			res, err = BuildSkeletonDistributed(small, Options{Seed: 1, goroutinePerNode: perNode,
-				Reliable: &reliable.Policy{Seed: 9, Slack: 24},
-				Faults: &faults.Plan{Seed: 7, Drop: 0.05, Duplicate: 0.02, Corrupt: 0.01,
-					Delay: 0.05, DelayRounds: 3}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m = res.Metrics
-			pinned.Check(t, pinnedSkeleton, "reliable", pinRow(m, pinned.Hash(res.Spanner.Keys(), metricsExtra(m)...)))
-		})
-	}
+		}
+		g := graph.Gnp(300, 8.0/300, rand.New(rand.NewSource(1)))
+		res, err := BuildSkeletonDistributed(g, Options{Seed: 1, Degrade: true,
+			Faults: &faults.Plan{Seed: 5, Drop: 0.02, Duplicate: 0.02, Delay: 0.05, DelayRounds: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.Metrics
+		pinned.Check(t, pinnedSkeleton, "faulted", pinRow(m, pinned.Hash(res.Spanner.Keys(), metricsExtra(m)...)))
+		small := graph.Gnp(100, 6.0/100, rand.New(rand.NewSource(1)))
+		res, err = BuildSkeletonDistributed(small, Options{Seed: 1,
+			Reliable: &reliable.Policy{Seed: 9, Slack: 24},
+			Faults: &faults.Plan{Seed: 7, Drop: 0.05, Duplicate: 0.02, Corrupt: 0.01,
+				Delay: 0.05, DelayRounds: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m = res.Metrics
+		pinned.Check(t, pinnedSkeleton, "reliable", pinRow(m, pinned.Hash(res.Spanner.Keys(), metricsExtra(m)...)))
+	})
 }

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 
+	"spanner/internal/ckpttest"
+	"spanner/internal/distsim"
 	"spanner/internal/faults"
 	"spanner/internal/graph"
 	"spanner/internal/reliable"
@@ -180,5 +182,54 @@ func TestPipelineResumeGuards(t *testing.T) {
 		Seed: 2, MsgCap: 64, CheckpointDir: dir, Resume: true,
 	}); err == nil {
 		t.Error("Resume with a different seed should fail")
+	}
+}
+
+// TestResumeRejectsBadSnapshotCounts damages counts of a skeleton node's
+// snapshot, bare and wrapped in the reliable transport, inside an engine
+// checkpoint of the pipeline: resuming from it must fail with an error.
+func TestResumeRejectsBadSnapshotCounts(t *testing.T) {
+	g := graph.ConnectedGnp(80, 0.06, rand.New(rand.NewSource(4)))
+	schedule := Schedule(g.N(), Options{})
+	for _, tc := range []struct {
+		name   string
+		pol    *reliable.Policy
+		counts []ckpttest.Count
+	}{
+		{"skeleton", nil, []ckpttest.Count{
+			{Name: "children1", At: func([]int64) int { return 7 }, PerEntry: 1},
+			{Name: "cands", At: func(s []int64) int {
+				children2 := 8 + int(s[7])
+				return children2 + 1 + int(s[children2]) + 3
+			}, PerEntry: 4},
+		}},
+		{"reliable", &reliable.Policy{Seed: 17}, []ckpttest.Count{
+			{Name: "links", At: func([]int64) int { return 17 }, PerEntry: 6},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, err := RunExpandScheduleOpts(g, schedule, ScheduleOpts{Seed: 5, MsgCap: 64,
+				Reliable: tc.pol, CheckpointDir: dir, CheckpointEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, err := distsim.LatestCheckpoint(callDir(dir, 0))
+			if err != nil || path == "" {
+				t.Fatalf("no engine checkpoint of call 0: %v", err)
+			}
+			ckpttest.BadCounts(t, path, 0, tc.counts, func() error {
+				nodes := make([]skelNode, g.N())
+				handlers := make([]distsim.Handler, g.N())
+				for v := range handlers {
+					handlers[v] = &nodes[v]
+				}
+				if tc.pol != nil {
+					handlers, _ = reliable.Wrap(handlers, *tc.pol)
+				}
+				_, err := distsim.ResumeFrom(g, handlers, distsim.Config{}, path)
+				return err
+			})
+		})
 	}
 }

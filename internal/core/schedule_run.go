@@ -39,8 +39,6 @@ type ScheduleOpts struct {
 	// spanner, metrics and per-call profiles byte-identical to the
 	// uninterrupted run.
 	Resume bool
-	// goroutinePerNode selects the engine's goroutine-per-vertex mode.
-	goroutinePerNode bool
 }
 
 // ScheduleResult is the outcome of RunExpandScheduleOpts. On error Spanner
@@ -70,6 +68,9 @@ func callDir(dir string, idx int) string {
 	return filepath.Join(dir, fmt.Sprintf("call-%03d", idx))
 }
 
+// manifestMetricsWords is the length of metricsToWords' record.
+const manifestMetricsWords = 24
+
 // metricsToWords flattens an engine metrics snapshot (the transport ledger
 // included) for a manifest.
 func metricsToWords(w []int64, m distsim.Metrics) []int64 {
@@ -86,32 +87,32 @@ func metricsToWords(w []int64, m distsim.Metrics) []int64 {
 		t.DupBatches, t.ChecksumDrops, t.LinksAbandoned)
 }
 
-func metricsFromWords(r *wordCursor) distsim.Metrics {
+func metricsFromWords(r *distsim.SnapshotReader) distsim.Metrics {
 	var m distsim.Metrics
-	m.Rounds = int(r.next())
-	m.Messages = r.next()
-	m.Words = r.next()
-	m.MaxMsgWords = int(r.next())
-	m.CapExceeded = r.next()
-	m.Faults.Dropped = r.next()
-	m.Faults.DroppedLink = r.next()
-	m.Faults.DroppedCrash = r.next()
-	m.Faults.Duplicated = r.next()
-	m.Faults.Corrupted = r.next()
-	m.Faults.Delayed = r.next()
-	m.Transport.Wrapped = r.next() != 0
-	m.Transport.Messages = r.next()
-	m.Transport.Words = r.next()
-	m.Transport.Delivered = r.next()
-	m.Transport.MaxMsgWords = int(r.next())
-	m.Transport.CapExceeded = r.next()
-	m.Transport.VirtualRounds = int(r.next())
-	m.Transport.Retransmits = r.next()
-	m.Transport.Acks = r.next()
-	m.Transport.Heartbeats = r.next()
-	m.Transport.DupBatches = r.next()
-	m.Transport.ChecksumDrops = r.next()
-	m.Transport.LinksAbandoned = r.next()
+	m.Rounds = int(r.Next())
+	m.Messages = r.Next()
+	m.Words = r.Next()
+	m.MaxMsgWords = int(r.Next())
+	m.CapExceeded = r.Next()
+	m.Faults.Dropped = r.Next()
+	m.Faults.DroppedLink = r.Next()
+	m.Faults.DroppedCrash = r.Next()
+	m.Faults.Duplicated = r.Next()
+	m.Faults.Corrupted = r.Next()
+	m.Faults.Delayed = r.Next()
+	m.Transport.Wrapped = r.Next() != 0
+	m.Transport.Messages = r.Next()
+	m.Transport.Words = r.Next()
+	m.Transport.Delivered = r.Next()
+	m.Transport.MaxMsgWords = int(r.Next())
+	m.Transport.CapExceeded = r.Next()
+	m.Transport.VirtualRounds = int(r.Next())
+	m.Transport.Retransmits = r.Next()
+	m.Transport.Acks = r.Next()
+	m.Transport.Heartbeats = r.Next()
+	m.Transport.DupBatches = r.Next()
+	m.Transport.ChecksumDrops = r.Next()
+	m.Transport.LinksAbandoned = r.Next()
 	return m
 }
 
@@ -160,43 +161,39 @@ func loadManifest(dir string, g *graph.Graph, opts ScheduleOpts,
 	if err != nil {
 		return 0, err
 	}
-	r := &wordCursor{buf: words, who: "manifest"}
-	if r.next() != manifestMagic || r.next() != manifestVersion {
+	r := distsim.NewSnapshotReader("core: manifest", words)
+	if r.Next() != manifestMagic || r.Next() != manifestVersion {
 		return 0, fmt.Errorf("core: %s: bad magic/version", path)
 	}
-	if int(r.next()) != g.N() || int(r.next()) != g.M() || r.next() != opts.Seed ||
-		int(r.next()) != opts.MsgCap || int(r.next()) != scheduleLen {
+	if int(r.Next()) != g.N() || int(r.Next()) != g.M() || r.Next() != opts.Seed ||
+		int(r.Next()) != opts.MsgCap || int(r.Next()) != scheduleLen {
 		return 0, fmt.Errorf("core: %s was written for a different graph, seed, cap or schedule", path)
 	}
-	idx := int(r.next())
-	opts.Faults.SetRuns(r.next())
-	res.Metrics = metricsFromWords(r)
+	idx := int(r.Next())
+	opts.Faults.SetRuns(r.Next())
+	res.Metrics = metricsFromWords(&r)
 	res.PerCall = nil
-	for i, k := 0, int(r.next()); i < k; i++ {
-		res.PerCall = append(res.PerCall, metricsFromWords(r))
+	for range r.Count(manifestMetricsWords) {
+		res.PerCall = append(res.PerCall, metricsFromWords(&r))
 	}
 	res.Abandoned = nil
-	for i, k := 0, int(r.next()); i < k; i++ {
+	for range r.Count(2) {
 		res.Abandoned = append(res.Abandoned, [2]distsim.NodeID{
-			distsim.NodeID(r.next()), distsim.NodeID(r.next())})
+			distsim.NodeID(r.Next()), distsim.NodeID(r.Next())})
 	}
-	for i, k := 0, int(r.next()); i < k; i++ {
-		res.Spanner.AddKey(r.next())
+	for range r.Count(1) {
+		res.Spanner.AddKey(r.Next())
 	}
 	for v := range nodes {
-		l := int(r.next())
-		if r.err != nil {
-			return 0, r.err
+		snap := r.Slice()
+		if r.Err() != nil {
+			return 0, fmt.Errorf("%w (%s)", r.Err(), path)
 		}
-		if l < 0 || r.pos+l > len(r.buf) {
-			return 0, fmt.Errorf("core: %s: corrupt node snapshot length", path)
-		}
-		if err := nodes[v].Restore(r.buf[r.pos : r.pos+l]); err != nil {
+		if err := nodes[v].Restore(snap); err != nil {
 			return 0, err
 		}
-		r.pos += l
 	}
-	return idx, r.err
+	return idx, r.Err()
 }
 
 // RunExpandScheduleOpts executes the distributed Expand protocol over an
@@ -313,13 +310,12 @@ func RunExpandScheduleOpts(g *graph.Graph, schedule []Call, opts ScheduleOpts) (
 		engineHandlers := handlers
 		var sess *reliable.Session
 		cfg := distsim.Config{
-			MaxMsgWords:      opts.MsgCap,
-			Strict:           opts.MsgCap > 0,
-			Faults:           opts.Faults,
-			Obs:              opts.Obs,
-			Parent:           cspan,
-			GoroutinePerNode: opts.goroutinePerNode,
-			Buffers:          bufs,
+			MaxMsgWords: opts.MsgCap,
+			Strict:      opts.MsgCap > 0,
+			Faults:      opts.Faults,
+			Obs:         opts.Obs,
+			Parent:      cspan,
+			Buffers:     bufs,
 		}
 		if opts.Reliable != nil {
 			pol := *opts.Reliable

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"spanner/internal/distsim"
@@ -72,78 +71,61 @@ func (s *skelNode) Snapshot() []int64 {
 
 // Restore rebuilds the node from a Snapshot.
 func (s *skelNode) Restore(state []int64) error {
-	r := wordCursor{buf: state, who: "skelNode"}
-	flags := r.next()
+	r := distsim.NewSnapshotReader("core: skelNode snapshot", state)
+	flags := r.Next()
 	for i, b := range []*bool{&s.dead, &s.sampledNow, &s.announceDone, &s.hasBest,
 		&s.decided, &s.deathStarted, &s.abortSent} {
 		*b = flags&(1<<i) != 0
 	}
-	s.self = distsim.NodeID(r.next())
-	s.superCenter = int32(r.next())
-	s.cluster = int32(r.next())
-	s.clusterTau = r.next()
-	s.p1 = distsim.NodeID(r.next())
-	s.p2 = distsim.NodeID(r.next())
+	s.self = distsim.NodeID(r.Next())
+	s.superCenter = int32(r.Next())
+	s.cluster = int32(r.Next())
+	s.clusterTau = r.Next()
+	s.p1 = distsim.NodeID(r.Next())
+	s.p2 = distsim.NodeID(r.Next())
 	s.children1 = s.children1[:0]
-	for i, k := 0, int(r.next()); i < k; i++ {
-		s.children1 = append(s.children1, distsim.NodeID(r.next()))
+	for range r.Count(1) {
+		s.children1 = append(s.children1, distsim.NodeID(r.Next()))
 	}
 	s.children2 = s.children2[:0]
-	for i, k := 0, int(r.next()); i < k; i++ {
-		s.children2 = append(s.children2, distsim.NodeID(r.next()))
+	for range r.Count(1) {
+		s.children2 = append(s.children2, distsim.NodeID(r.Next()))
 	}
-	s.call = r.next()
-	s.abortQ = int(r.next())
-	s.chunk = int(r.next())
+	s.call = r.Next()
+	s.abortQ = int(r.Next())
+	s.chunk = int(r.Next())
 	s.cands = s.cands[:0]
 	s.candIdx.reset()
-	for i, k := 0, int(r.next()); i < k; i++ {
-		c := r.cand()
+	for range r.Count(4) {
+		c := readCand(&r)
 		s.cands = append(s.cands, c)
 		s.candIdx.add(c.cluster)
 	}
-	s.best = r.cand()
-	s.bestFromChild = distsim.NodeID(r.next())
-	s.reportsLeft = int(r.next())
-	nSeen := int(r.next())
+	s.best = readCand(&r)
+	s.bestFromChild = distsim.NodeID(r.Next())
+	s.reportsLeft = int(r.Next())
+	// -1 marks an unset death record; otherwise the word counts its ids.
+	nSeen := r.Next()
 	s.deathSeenOn = nSeen >= 0
 	s.deathSeen.reset()
-	for i := 0; i < nSeen; i++ {
-		s.deathSeen.add(int32(r.next()))
+	if s.deathSeenOn {
+		for range r.Fit(nSeen, 1) {
+			s.deathSeen.add(int32(r.Next()))
+		}
 	}
 	s.deathQueue = s.deathQueue[:0]
-	for i, k := 0, int(r.next()); i < k; i++ {
-		s.deathQueue = append(s.deathQueue, r.cand())
+	for range r.Count(4) {
+		s.deathQueue = append(s.deathQueue, readCand(&r))
 	}
-	s.deathDoneLeft = int(r.next())
+	s.deathDoneLeft = int(r.Next())
 	s.outEdges = s.outEdges[:0]
-	for i, k := 0, int(r.next()); i < k; i++ {
-		s.outEdges = append(s.outEdges, r.next())
+	for range r.Count(1) {
+		s.outEdges = append(s.outEdges, r.Next())
 	}
-	return r.err
+	return r.Err()
 }
 
-// wordCursor is a bounds-checked reader over a snapshot word stream.
-type wordCursor struct {
-	buf []int64
-	pos int
-	who string
-	err error
-}
-
-func (r *wordCursor) next() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("core: truncated %s snapshot (offset %d)", r.who, r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *wordCursor) cand() skelCand {
-	return skelCand{cluster: int32(r.next()), tau: r.next(), u: int32(r.next()), v: int32(r.next())}
+// readCand reads a candidate written by putCand.
+func readCand(r *distsim.SnapshotReader) skelCand {
+	return skelCand{cluster: int32(r.Next()), tau: r.Next(), u: int32(r.Next()), v: int32(r.Next())}
 }

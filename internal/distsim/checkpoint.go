@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -23,11 +24,75 @@ import (
 // Snapshotter is implemented by handlers that support checkpointing: all
 // protocol state serialized to a flat word slice, and restored from one.
 // Snapshot must be deterministic (map contents emitted in sorted order) so
-// checkpoint files are reproducible.
+// checkpoint files are reproducible. Restore reads its words through a
+// SnapshotReader, so a damaged snapshot is an error, never a panic.
 type Snapshotter interface {
 	Snapshot() []int64
 	Restore(state []int64) error
 }
+
+// SnapshotReader is a bounds-checked cursor over a snapshot word stream.
+// The first failure sticks: later reads return zero values and Err reports
+// it.
+type SnapshotReader struct {
+	what string // error prefix, e.g. "core: manifest"
+	buf  []int64
+	pos  int
+	err  error
+}
+
+// NewSnapshotReader reads words; what prefixes its errors.
+func NewSnapshotReader(what string, words []int64) SnapshotReader {
+	return SnapshotReader{what: what, buf: words}
+}
+
+// Next reads one word.
+func (r *SnapshotReader) Next() int64 {
+	if r.err != nil {
+		return 0
+	}
+	if r.pos >= len(r.buf) {
+		r.err = fmt.Errorf("%s truncated at offset %d", r.what, r.pos)
+		return 0
+	}
+	v := r.buf[r.pos]
+	r.pos++
+	return v
+}
+
+// Count reads a count of entries of at least wordsPerEntry words each, and
+// fails unless that many fit in the words left, so a damaged count can
+// neither size an allocation nor run a loop past what the snapshot backs.
+func (r *SnapshotReader) Count(wordsPerEntry int) int {
+	return r.Fit(r.Next(), wordsPerEntry)
+}
+
+// Fit is Count for a count already read (one that doubles as a marker).
+func (r *SnapshotReader) Fit(n int64, wordsPerEntry int) int {
+	if r.err != nil {
+		return 0
+	}
+	if left := int64(len(r.buf) - r.pos); n < 0 || n > left/int64(wordsPerEntry) {
+		r.err = fmt.Errorf("%s: count %d at offset %d exceeds the %d words left", r.what, n, r.pos, left)
+		return 0
+	}
+	return int(n)
+}
+
+// Slice reads a length-prefixed run of words. The result aliases the
+// stream.
+func (r *SnapshotReader) Slice() []int64 {
+	n := r.Count(1)
+	if r.err != nil {
+		return nil
+	}
+	s := r.buf[r.pos : r.pos+n : r.pos+n]
+	r.pos += n
+	return s
+}
+
+// Err returns the first failure, or nil.
+func (r *SnapshotReader) Err() error { return r.err }
 
 // CheckpointConfig enables round-boundary checkpointing on a run.
 type CheckpointConfig struct {
@@ -83,44 +148,11 @@ func (w *snapWriter) putSlice(s []int64) {
 	w.buf = append(w.buf, s...)
 }
 
-// snapReader consumes a checkpoint word stream with bounds checking.
-type snapReader struct {
-	buf []int64
-	pos int
-	err error
-}
-
-func (r *snapReader) get() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("distsim: truncated checkpoint (offset %d)", r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *snapReader) getSlice() []int64 {
-	n := r.get()
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.pos+int(n) > len(r.buf) {
-		r.err = fmt.Errorf("distsim: corrupt checkpoint length %d at offset %d", n, r.pos)
-		return nil
-	}
-	s := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return s
-}
-
-// fnvWords is FNV-1a folded over a word stream (the checkpoint's integrity
-// footer; rename-into-place already excludes torn files, this catches disk
-// rot and hand-edited artifacts).
-func fnvWords(words []int64) int64 {
+// ChecksumWords is FNV-1a over the little-endian bytes of each word: the
+// integrity footer of WriteWordsFile (rename-into-place already excludes
+// torn files, this catches disk rot and hand-edited files) and of the
+// reliable transport's frames.
+func ChecksumWords(words []int64) int64 {
 	h := uint64(1469598103934665603)
 	for _, w := range words {
 		for shift := 0; shift < 64; shift += 8 {
@@ -223,7 +255,7 @@ func CheckpointName(round int) string { return fmt.Sprintf("ckpt-%08d.bin", roun
 // leaves a torn artifact under the final name. Shared by engine checkpoints
 // and the pipeline-level manifests the drivers write.
 func WriteWordsFile(path string, words []int64) error {
-	words = append(words, fnvWords(words))
+	words = append(words, ChecksumWords(words))
 	buf := make([]byte, 8*len(words))
 	for i, v := range words {
 		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
@@ -264,7 +296,7 @@ func ReadWordsFile(path string) ([]int64, error) {
 		words[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	body, sum := words[:len(words)-1], words[len(words)-1]
-	if fnvWords(body) != sum {
+	if ChecksumWords(body) != sum {
 		return nil, fmt.Errorf("distsim: %s: checksum mismatch", path)
 	}
 	return body, nil
@@ -332,40 +364,35 @@ func ResumeFrom(g *graph.Graph, handlers []Handler, cfg Config, path string) (*N
 	if err != nil {
 		return nil, err
 	}
-	r := &snapReader{buf: words}
-	r.get() // magic
-	r.get() // version
-	n, m := r.get(), r.get()
+	r := NewSnapshotReader("distsim: checkpoint", words)
+	r.Next() // magic
+	r.Next() // version
+	n, m := r.Next(), r.Next()
 	if int(n) != g.N() || int(m) != g.M() {
 		return nil, fmt.Errorf("distsim: checkpoint %s is for a %dx%d graph, not %dx%d",
 			path, n, m, g.N(), g.M())
 	}
-	net.resumeRound = int(r.get())
-	net.stallStreak = int(r.get())
-	atomic.StoreInt64(&net.rounds, r.get())
-	atomic.StoreInt64(&net.messages, r.get())
-	atomic.StoreInt64(&net.words, r.get())
-	atomic.StoreInt64(&net.maxMsgWords, r.get())
-	atomic.StoreInt64(&net.capExceeded, r.get())
-	atomic.StoreInt64(&net.fDropped, r.get())
-	atomic.StoreInt64(&net.fDroppedLink, r.get())
-	atomic.StoreInt64(&net.fDroppedCrash, r.get())
-	atomic.StoreInt64(&net.fDuplicated, r.get())
-	atomic.StoreInt64(&net.fCorrupted, r.get())
-	atomic.StoreInt64(&net.fDelayed, r.get())
-	if r.get() == 1 {
-		run, draws := r.get(), r.get()
+	net.resumeRound = int(r.Next())
+	net.stallStreak = int(r.Next())
+	for _, cell := range []*int64{&net.rounds, &net.messages, &net.words, &net.maxMsgWords,
+		&net.capExceeded, &net.fDropped, &net.fDroppedLink, &net.fDroppedCrash,
+		&net.fDuplicated, &net.fCorrupted, &net.fDelayed} {
+		atomic.StoreInt64(cell, r.Next())
+	}
+	if r.Next() == 1 {
+		run, draws := r.Next(), r.Next()
 		if cfg.Faults.IsZero() {
 			return nil, fmt.Errorf("distsim: checkpoint %s ran under a fault plan; Resume needs the same Config.Faults", path)
 		}
 		net.inj = cfg.Faults.InjectorForRun(run, draws)
 	}
-	nDue := int(r.get())
-	for i := 0; i < nDue; i++ {
-		due, count := int(r.get()), int(r.get())
-		for j := 0; j < count; j++ {
-			to, from := NodeID(r.get()), NodeID(r.get())
-			data := append([]int64(nil), r.getSlice()...)
+	// Delayed deliveries: (due, count) per due round, (to, from, payload)
+	// per delivery.
+	for range r.Count(2) {
+		due := int(r.Next())
+		for range r.Count(3) {
+			to, from := NodeID(r.Next()), NodeID(r.Next())
+			data := slices.Clone(r.Slice())
 			if net.pending == nil {
 				net.pending = make(map[int][]pendingMsg)
 			}
@@ -373,25 +400,23 @@ func ResumeFrom(g *graph.Graph, handlers []Handler, cfg Config, path string) (*N
 			net.pendingCount++
 		}
 	}
-	nTrace := int(r.get())
-	for i := 0; i < nTrace; i++ {
-		net.trace = append(net.trace, RoundStats{Round: int(r.get()), Messages: r.get(), Words: r.get()})
+	for range r.Count(3) {
+		net.trace = append(net.trace, RoundStats{Round: int(r.Next()), Messages: r.Next(), Words: r.Next()})
 	}
 	for v := range net.nodes {
 		node := &net.nodes[v]
-		flags := r.get()
+		flags := r.Next()
 		node.halted = flags&1 != 0
 		node.awake = flags&2 != 0
-		nOut := int(r.get())
 		node.seg = &net.bufs.segs[net.wp][0]
-		for j := 0; j < nOut; j++ {
-			to := NodeID(r.get())
-			off := node.store(r.getSlice())
+		for range r.Count(2) {
+			to := NodeID(r.Next())
+			off := node.store(r.Slice())
 			node.seg.out = append(node.seg.out, outMsg{from: node.id, to: to, n: int32(len(node.seg.words) - off), off: off})
 		}
-		hasHandler := r.get() == 1
-		if r.err != nil {
-			return nil, r.err
+		hasHandler := r.Next() == 1
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if hasHandler {
 			if net.handlers[v] == nil {
@@ -401,13 +426,17 @@ func ResumeFrom(g *graph.Graph, handlers []Handler, cfg Config, path string) (*N
 			if !ok {
 				return nil, fmt.Errorf("distsim: handler of node %d (%T) does not implement Snapshotter", v, net.handlers[v])
 			}
-			if err := snap.Restore(append([]int64(nil), r.getSlice()...)); err != nil {
+			state := slices.Clone(r.Slice())
+			if r.Err() != nil {
+				return nil, r.Err()
+			}
+			if err := snap.Restore(state); err != nil {
 				return nil, fmt.Errorf("distsim: restoring node %d: %w", v, err)
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return net, nil
 }

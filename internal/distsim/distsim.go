@@ -16,10 +16,12 @@
 // breaking the model.
 //
 // Execution within a round is parallel: node handlers run on a pool of
-// goroutines with a barrier at the round boundary, which is exactly the
-// synchronous model. Handlers therefore must not touch any state other than
-// their own node's. Delivery order is deterministic (inboxes are sorted by
-// sender), so a protocol seeded deterministically produces identical runs.
+// Config.Workers goroutines with a barrier at the round boundary, which is
+// exactly the synchronous model. Handlers therefore must not touch any
+// state other than their own node's. Workers: 1 runs every handler inline
+// in id order, the sequential reading of the model. Delivery order is
+// deterministic (inboxes are sorted by sender), so a protocol seeded
+// deterministically produces identical runs at every worker count.
 //
 // The engine makes no allocation per message. Send, SendWords and
 // Broadcast copy the payload into the sender's word arena for the round;
@@ -154,12 +156,6 @@ type Config struct {
 	MaxRounds int
 	// Workers sets the goroutine pool size; 0 means GOMAXPROCS.
 	Workers int
-	// GoroutinePerNode runs every node as a long-lived goroutine fed by a
-	// channel, one message batch per round — the literal concurrent-process
-	// reading of the model. Results and metrics are identical to the
-	// default pooled mode (asserted in tests); the pooled mode is faster
-	// for large n, this mode maps one-to-one onto the paper's processors.
-	GoroutinePerNode bool
 	// TraceRounds records per-round message counts and word volumes in
 	// Metrics.Trace, for round-profile experiments.
 	TraceRounds bool
@@ -229,7 +225,7 @@ type Network struct {
 	errMu  sync.Mutex
 	runErr *RunError
 
-	// Live metric cells (atomic), consistent under any execution mode.
+	// Live metric cells (atomic), consistent at any worker count.
 	rounds      int64
 	messages    int64
 	words       int64
@@ -252,10 +248,6 @@ type Network struct {
 	regCapExceeded *obs.Counter
 	regMaxMsg      *obs.Gauge
 	regFaults      *obs.Counter
-
-	// goroutine-per-node plumbing (GoroutinePerNode mode).
-	taskIn []chan nodeTask
-	nodeWG sync.WaitGroup
 
 	// Resume state: when > 0 the network was built by Resume and Run skips
 	// Start, continuing the loop at this round with restored engine state.
@@ -295,13 +287,8 @@ func newNetwork(g *graph.Graph, handlers []Handler, cfg Config, makeInjector boo
 	if bufs == nil {
 		bufs = new(Buffers)
 	}
-	// One writer segment per pool worker, or per node when every node runs
-	// on a goroutine of its own.
-	writers := cfg.Workers
-	if cfg.GoroutinePerNode {
-		writers = g.N()
-	}
-	bufs.prepare(g.N(), max(writers, 1))
+	// One writer segment per pool worker.
+	bufs.prepare(g.N(), max(cfg.Workers, 1))
 	net := &Network{
 		g:        g,
 		cfg:      cfg,
@@ -500,10 +487,6 @@ func (net *Network) Run() (Metrics, error) {
 			span.End(attrs...)
 		}()
 	}
-	if net.cfg.GoroutinePerNode {
-		net.startNodeGoroutines()
-		defer net.stopNodeGoroutines()
-	}
 	startTime := time.Now()
 	firstRound := 1
 	if net.resumeRound > 0 {
@@ -523,7 +506,7 @@ func (net *Network) Run() (Metrics, error) {
 			tasks = append(tasks, nodeTask{v: v, start: true})
 		}
 		net.bufs.tasks = tasks
-		net.dispatch(tasks)
+		net.parallelTasks(tasks)
 		if err := net.takeRunErr(); err != nil {
 			return net.Metrics(), err
 		}
@@ -593,7 +576,7 @@ func (net *Network) Run() (Metrics, error) {
 			tasks = append(tasks, nodeTask{v: v, inbox: inbox})
 		}
 		net.bufs.tasks = tasks
-		net.dispatch(tasks)
+		net.parallelTasks(tasks)
 		if err := net.takeRunErr(); err != nil {
 			return net.Metrics(), err
 		}
@@ -613,7 +596,7 @@ type roundTally struct {
 // deliver drains the last step's sends (and the delayed messages due this
 // round) into this round's inboxes and publishes the round's accounting
 // once. Serial and in sender order, so fault fates are drawn in the same
-// order under every execution mode.
+// order at every worker count.
 func (net *Network) deliver(round int) roundTally {
 	var t roundTally
 	b := net.bufs
@@ -743,26 +726,8 @@ func (net *Network) deliverFaulty(deliv []pendingMsg, round int, to NodeID, msg 
 	return deliv
 }
 
-// dispatch runs the tasks either on the worker pool or on the per-node
-// goroutines, blocking until every handler has returned (the synchronous
-// round barrier).
-func (net *Network) dispatch(tasks []nodeTask) {
-	if net.cfg.GoroutinePerNode {
-		segs := net.bufs.segs[net.wp]
-		net.nodeWG.Add(len(tasks))
-		for _, t := range tasks {
-			net.nodes[t.v].seg = &segs[t.v]
-			net.taskIn[t.v] <- t
-		}
-		net.nodeWG.Wait()
-		return
-	}
-	net.parallelTasks(tasks)
-}
-
 // runTask invokes one handler, containing any panic: the failure is
-// recorded with node and round attribution instead of killing the process
-// (and, in goroutine-per-node mode, instead of deadlocking the barrier).
+// recorded with node and round attribution instead of killing the process.
 func (net *Network) runTask(t nodeTask) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -802,32 +767,8 @@ func (net *Network) takeRunErr() error {
 	return net.runErr
 }
 
-// startNodeGoroutines launches one goroutine per vertex, each consuming
-// tasks from its channel until shutdown.
-func (net *Network) startNodeGoroutines() {
-	n := net.g.N()
-	net.taskIn = make([]chan nodeTask, n)
-	for v := 0; v < n; v++ {
-		net.taskIn[v] = make(chan nodeTask, 1)
-		go func(ch chan nodeTask) {
-			for t := range ch {
-				net.runTask(t)
-				net.nodeWG.Done()
-			}
-		}(net.taskIn[v])
-	}
-}
-
-// stopNodeGoroutines shuts the per-node goroutines down and waits for them
-// to exit (no goroutine outlives Run).
-func (net *Network) stopNodeGoroutines() {
-	for _, ch := range net.taskIn {
-		close(ch)
-	}
-	net.taskIn = nil
-}
-
-// parallelTasks applies the tasks on the worker pool. Worker w takes the
+// parallelTasks applies the tasks on the worker pool, blocking until every
+// handler has returned (the synchronous round barrier). Worker w takes the
 // w-th contiguous chunk and sends into segment w, so reading the segments
 // in order visits the senders in ascending order.
 func (net *Network) parallelTasks(tasks []nodeTask) {

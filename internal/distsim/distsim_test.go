@@ -455,3 +455,57 @@ func (f *floodNode) HandleRound(n *NodeCtx, inbox []Message) {
 		n.Broadcast(maxTTL - 1)
 	}
 }
+
+func TestTraceRounds(t *testing.T) {
+	g := graph.Path(10)
+	handlers := make([]Handler, 10)
+	nodes := make([]bfsPatientNode, 10)
+	nodes[0].isSource = true
+	for v := range handlers {
+		handlers[v] = &nodes[v]
+	}
+	net, err := NewNetwork(g, handlers, Config{TraceRounds: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := net.Trace()
+	if len(trace) != m.Rounds {
+		t.Fatalf("trace has %d rounds, metrics says %d", len(trace), m.Rounds)
+	}
+	var msgs, words int64
+	for i, rs := range trace {
+		if rs.Round != i+1 {
+			t.Fatalf("trace round numbering wrong: %+v", rs)
+		}
+		msgs += rs.Messages
+		words += rs.Words
+	}
+	if msgs != m.Messages || words != m.Words {
+		t.Fatalf("trace totals (%d,%d) != metrics (%d,%d)", msgs, words, m.Messages, m.Words)
+	}
+}
+
+func TestTraceDisabledByDefault(t *testing.T) {
+	g := graph.Path(3)
+	nodes := make([]bfsPatientNode, 3)
+	nodes[0].isSource = true
+	handlers := []Handler{&nodes[0], &nodes[1], &nodes[2]}
+	net, err := NewNetwork(g, handlers, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rounds == 0 {
+		t.Fatal("the run took no rounds")
+	}
+	if trace := net.Trace(); trace != nil {
+		t.Fatalf("trace recorded without TraceRounds: %+v", trace)
+	}
+}

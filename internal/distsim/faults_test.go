@@ -1,12 +1,13 @@
 package distsim
 
 // Engine-level fault-injection tests: zero-plan identity, per-kind fault
-// accounting, crash windows, panic containment in both execution modes,
+// accounting, crash windows, panic containment at every worker count,
 // run-health aborts (deadline, stall) and the strict-cap drain guarantee
 // that Metrics reconcile with the emitted trace even on the error path.
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -283,21 +284,18 @@ func (p *panicOnce) HandleRound(n *NodeCtx, inbox []Message) {
 	n.Halt()
 }
 
-func TestPanicContainedInBothModes(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"pooled", Config{Workers: 4}},
-		{"per-node", Config{GoroutinePerNode: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
+// TestPanicContainedAtEveryWorkerCount: at Workers 1 the handlers run
+// inline in id order; at 2 the two doomed nodes fall on different workers,
+// at 4 on one worker, one after the other.
+func TestPanicContainedAtEveryWorkerCount(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			g := graph.Complete(5)
 			handlers := make([]Handler, 5)
 			for i := range handlers {
 				handlers[i] = &panicOnce{doomed: i == 2 || i == 3}
 			}
-			net, _ := NewNetwork(g, handlers, mode.cfg)
+			net, _ := NewNetwork(g, handlers, Config{Workers: workers})
 			_, err := net.Run()
 			re := AsRunError(err)
 			if re == nil {

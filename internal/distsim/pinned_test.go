@@ -35,41 +35,35 @@ var pinnedBFS = map[string]pinned.Row{
 }
 
 // TestPinnedOutputs compares RunBFS, unbounded and truncated, and one run
-// under a drop/duplicate/corrupt/delay plan against the pinned rows in the
-// pooled and the goroutine-per-node mode; run it with -cpu 1,2,4.
+// under a drop/duplicate/corrupt/delay plan against the pinned rows; run it
+// with -cpu 1,2,4 to cover the worker counts.
 func TestPinnedOutputs(t *testing.T) {
-	for _, perNode := range []bool{false, true} {
-		mode := "pooled"
-		if perNode {
-			mode = "per-node"
-		}
-		t.Run(mode, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				for gname, g := range pinned.Graphs(seed) {
-					rng := rand.New(rand.NewSource(seed))
-					sources := []int32{int32(rng.Intn(g.N())), int32(rng.Intn(g.N())), int32(rng.Intn(g.N()))}
-					for _, radius := range []int64{0, 3} {
-						res, err := RunBFSRadius(g, sources, radius, Config{GoroutinePerNode: perNode})
-						if err != nil {
-							t.Fatal(err)
-						}
-						pinned.Check(t, pinnedBFS, fmt.Sprintf("%s/%d/r%d", gname, seed, radius),
-							bfsRow(res, nil))
+	t.Run("pooled", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			for gname, g := range pinned.Graphs(seed) {
+				rng := rand.New(rand.NewSource(seed))
+				sources := []int32{int32(rng.Intn(g.N())), int32(rng.Intn(g.N())), int32(rng.Intn(g.N()))}
+				for _, radius := range []int64{0, 3} {
+					res, err := RunBFSRadius(g, sources, radius, Config{})
+					if err != nil {
+						t.Fatal(err)
 					}
+					pinned.Check(t, pinnedBFS, fmt.Sprintf("%s/%d/r%d", gname, seed, radius),
+						bfsRow(res, nil))
 				}
 			}
-			g := pinned.Graphs(1)["gnp"]
-			res, err := RunBFS(g, []int32{0, 150}, Config{GoroutinePerNode: perNode,
-				Faults: &faults.Plan{Seed: 77, Drop: 0.2, Duplicate: 0.1, Corrupt: 0.05,
-					Delay: 0.1, DelayRounds: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := res.Metrics.Faults
-			pinned.Check(t, pinnedBFS, "faulted", bfsRow(res, []int64{f.Dropped, f.DroppedLink,
-				f.DroppedCrash, f.Duplicated, f.Corrupted, f.Delayed}))
-		})
-	}
+		}
+		g := pinned.Graphs(1)["gnp"]
+		res, err := RunBFS(g, []int32{0, 150}, Config{
+			Faults: &faults.Plan{Seed: 77, Drop: 0.2, Duplicate: 0.1, Corrupt: 0.05,
+				Delay: 0.1, DelayRounds: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := res.Metrics.Faults
+		pinned.Check(t, pinnedBFS, "faulted", bfsRow(res, []int64{f.Dropped, f.DroppedLink,
+			f.DroppedCrash, f.Duplicated, f.Corrupted, f.Delayed}))
+	})
 }
 
 func bfsRow(res *BFSResult, extra []int64) pinned.Row {

@@ -36,9 +36,8 @@ var (
 	ErrLogCorrupt   = errors.New("dynamic: corrupt update log")
 )
 
-// fnvWords is FNV-1a over the little-endian bytes of each word — the same
-// checksum the artifact codec uses, kept package-local to avoid exporting
-// codec internals.
+// fnvWords is FNV-1a over the little-endian bytes of each word, the
+// footer of every update log segment.
 func fnvWords(words []int64) int64 {
 	const (
 		offset = 1469598103934665603

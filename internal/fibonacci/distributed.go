@@ -418,7 +418,7 @@ func buildDistributed(g *graph.Graph, opts Options) (*DistributedResult, error) 
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))),
 			obs.I("radius", r))
 		pcfg := distsim.Config{Faults: opts.Faults, Obs: opts.Obs, Parent: pspan,
-			GoroutinePerNode: opts.goroutinePerNode, Buffers: bufs}
+			Buffers: bufs}
 		var pwrap func([]distsim.Handler) []distsim.Handler
 		var psess *reliable.Session
 		if opts.Reliable != nil {
@@ -492,7 +492,7 @@ func buildDistributed(g *graph.Graph, opts Options) (*DistributedResult, error) 
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))),
 			obs.I("radius", radius))
 		cfg := distsim.Config{MaxMsgWords: msgCap, Faults: opts.Faults, Obs: opts.Obs, Parent: bspan,
-			GoroutinePerNode: opts.goroutinePerNode, Buffers: bufs}
+			Buffers: bufs}
 		engineHandlers := handlers
 		var bsess *reliable.Session
 		if opts.Reliable != nil {
@@ -543,7 +543,7 @@ func buildDistributed(g *graph.Graph, opts Options) (*DistributedResult, error) 
 		cspan := span.Child("fib.commit",
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))))
 		ccfg := distsim.Config{MaxMsgWords: msgCap, Faults: opts.Faults, Obs: opts.Obs, Parent: cspan,
-			GoroutinePerNode: opts.goroutinePerNode, Buffers: bufs}
+			Buffers: bufs}
 		engineHandlers = handlers
 		var csess *reliable.Session
 		if opts.Reliable != nil {

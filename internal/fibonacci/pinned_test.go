@@ -33,31 +33,24 @@ var pinnedFib = map[string]pinned.Row{
 	"isolated/3/T3": {Rounds: 37, Messages: 7955, Words: 28952, MaxWords: 36, Hash: 0x9fbc72dc47a012bb},
 }
 
-// TestPinnedOutputs compares BuildDistributed against the pinned rows in
-// the pooled and the goroutine-per-node mode; run it with -cpu 1,2,4.
+// TestPinnedOutputs compares BuildDistributed against the pinned rows; run
+// it with -cpu 1,2,4 to cover the worker counts.
 func TestPinnedOutputs(t *testing.T) {
-	for _, perNode := range []bool{false, true} {
-		mode := "pooled"
-		if perNode {
-			mode = "per-node"
-		}
-		t.Run(mode, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				for gname, g := range pinned.Graphs(seed) {
-					for _, capT := range []int{0, 3} {
-						res, err := BuildDistributed(g, Options{Order: 2, T: capT, Seed: seed,
-							goroutinePerNode: perNode})
-						if err != nil {
-							t.Fatal(err)
-						}
-						pinned.Check(t, pinnedFib, fmt.Sprintf("%s/%d/T%d", gname, seed, capT),
-							pinRow(res.Metrics, pinned.Hash(res.Spanner.Keys(),
-								int64(res.Ceased), int64(res.Repairs))))
+	t.Run("pooled", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			for gname, g := range pinned.Graphs(seed) {
+				for _, capT := range []int{0, 3} {
+					res, err := BuildDistributed(g, Options{Order: 2, T: capT, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
 					}
+					pinned.Check(t, pinnedFib, fmt.Sprintf("%s/%d/T%d", gname, seed, capT),
+						pinRow(res.Metrics, pinned.Hash(res.Spanner.Keys(),
+							int64(res.Ceased), int64(res.Repairs))))
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 func pinRow(m distsim.Metrics, hash uint64) pinned.Row {

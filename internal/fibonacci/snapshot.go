@@ -62,72 +62,52 @@ func (f *fibNode) Snapshot() []int64 {
 
 // Restore rebuilds the node from a Snapshot stream.
 func (f *fibNode) Restore(state []int64) error {
-	r := snapReader{buf: state}
-	flags := r.next()
+	r := distsim.NewSnapshotReader("fibonacci: snapshot", state)
+	flags := r.Next()
 	f.isSource = flags&1 != 0
 	f.isOwner = flags&2 != 0
 	f.ceased = flags&4 != 0
 	f.repairing = flags&8 != 0
 	f.sawCease = flags&16 != 0
 	f.detectFail = flags&32 != 0
-	f.self = distsim.NodeID(r.next())
-	f.radius = r.next()
-	f.distNext = int32(r.next())
-	f.msgCap = int(r.next())
-	f.stage = fibStage(r.next())
-	f.ceaseStep = int32(r.next())
-	f.repairBudget = r.next()
+	f.self = distsim.NodeID(r.Next())
+	f.radius = r.Next()
+	f.distNext = int32(r.Next())
+	f.msgCap = int(r.Next())
+	f.stage = fibStage(r.Next())
+	f.ceaseStep = int32(r.Next())
+	f.repairBudget = r.Next()
 	f.tokens = nil
-	if r.next() == 1 {
-		nTok := int(r.next())
+	if r.Next() == 1 {
+		nTok := r.Count(3)
 		f.tokens = make(map[int32]tokenInfo, nTok)
-		for i := 0; i < nTok; i++ {
-			u := int32(r.next())
-			f.tokens[u] = tokenInfo{d: int32(r.next()), via: int32(r.next())}
+		for range nTok {
+			u := int32(r.Next())
+			f.tokens[u] = tokenInfo{d: int32(r.Next()), via: int32(r.Next())}
 		}
-	} else if n := r.next(); n != 0 {
+	} else if n := r.Next(); n != 0 {
 		return fmt.Errorf("fibonacci: nil token map with %d entries", n)
 	}
 	f.ceaseForwarded = nil
-	if nc := int(r.next()); nc > 0 {
+	if nc := r.Count(1); nc > 0 {
 		f.ceaseForwarded = make(map[int64]bool, nc)
-		for i := 0; i < nc; i++ {
-			f.ceaseForwarded[r.next()] = true
+		for range nc {
+			f.ceaseForwarded[r.Next()] = true
 		}
 	}
 	f.committed = nil
-	if nm := int(r.next()); nm > 0 {
+	if nm := r.Count(1); nm > 0 {
 		f.committed = make(map[int32]bool, nm)
-		for i := 0; i < nm; i++ {
-			f.committed[int32(r.next())] = true
+		for range nm {
+			f.committed[int32(r.Next())] = true
 		}
 	}
 	f.outEdges = f.outEdges[:0]
-	if ne := int(r.next()); ne > 0 {
+	if ne := r.Count(1); ne > 0 {
 		f.outEdges = make([]int64, 0, ne)
-		for i := 0; i < ne; i++ {
-			f.outEdges = append(f.outEdges, r.next())
+		for range ne {
+			f.outEdges = append(f.outEdges, r.Next())
 		}
 	}
-	return r.err
-}
-
-// snapReader is a bounds-checked cursor over a snapshot word stream.
-type snapReader struct {
-	buf []int64
-	pos int
-	err error
-}
-
-func (r *snapReader) next() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("fibonacci: truncated snapshot at offset %d", r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
+	return r.Err()
 }

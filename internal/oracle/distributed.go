@@ -85,7 +85,7 @@ func NewDistributed(g *graph.Graph, k int, seed int64) (*Oracle, distsim.Metrics
 // NewDistributedObs is NewDistributed with per-level witness/flood spans and
 // engine round events emitted to ob (nil disables observability).
 func NewDistributedObs(g *graph.Graph, k int, seed int64, ob *obs.Observer) (*Oracle, distsim.Metrics, error) {
-	o, m, _, err := newDistributed(g, k, seed, ob, nil, nil, false)
+	o, m, _, err := newDistributed(g, k, seed, ob, nil, nil)
 	return o, m, err
 }
 
@@ -97,7 +97,7 @@ func NewDistributedObs(g *graph.Graph, k int, seed int64, ob *obs.Observer) (*Or
 // against the 2k−1 bound; the report is nil after a clean run.
 func NewDistributedReliable(g *graph.Graph, k int, seed int64, ob *obs.Observer,
 	plan *faults.Plan, pol reliable.Policy) (*Oracle, distsim.Metrics, *verify.DegradationReport, error) {
-	o, m, abandoned, err := newDistributed(g, k, seed, ob, plan, &pol, false)
+	o, m, abandoned, err := newDistributed(g, k, seed, ob, plan, &pol)
 	if err != nil {
 		return o, m, nil, err
 	}
@@ -119,7 +119,7 @@ func NewDistributedReliable(g *graph.Graph, k int, seed int64, ob *obs.Observer,
 func NewDistributedFT(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *faults.Plan, r *verify.Resilience) (*Oracle, distsim.Metrics, *verify.HealReport, error) {
 	var total distsim.Metrics
 	if r == nil {
-		o, m, _, err := newDistributed(g, k, seed, ob, plan, nil, false)
+		o, m, _, err := newDistributed(g, k, seed, ob, plan, nil)
 		return o, m, nil, err
 	}
 	bound := r.Bound(2*k - 1)
@@ -128,7 +128,7 @@ func NewDistributedFT(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan 
 		if attempt > 0 {
 			hr.Attempts++
 		}
-		o, m, _, err := newDistributed(g, k, seed, ob, plan, nil, false)
+		o, m, _, err := newDistributed(g, k, seed, ob, plan, nil)
 		total.Add(m)
 		if err != nil {
 			hr.RetryErrors = append(hr.RetryErrors, err.Error())
@@ -157,8 +157,7 @@ func NewDistributedFT(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan 
 // newDistributed is the construction shared by the public variants. With
 // pol non-nil every wave runs under the reliable transport (independent
 // per-wave jitter streams); the returned slice lists abandoned links.
-// perNode runs every wave in the engine's goroutine-per-vertex mode.
-func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *faults.Plan, pol *reliable.Policy, perNode bool) (*Oracle, distsim.Metrics, [][2]int32, error) {
+func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *faults.Plan, pol *reliable.Policy) (*Oracle, distsim.Metrics, [][2]int32, error) {
 	var total distsim.Metrics
 	var abandoned [][2]int32
 	if k < 1 {
@@ -201,8 +200,7 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 	for i := 0; i < k; i++ {
 		wspan := span.Child("oracle.witness",
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))))
-		wcfg := distsim.Config{Faults: plan, Obs: ob, Parent: wspan, GoroutinePerNode: perNode,
-			Buffers: bufs}
+		wcfg := distsim.Config{Faults: plan, Obs: ob, Parent: wspan, Buffers: bufs}
 		var wwrap func([]distsim.Handler) []distsim.Handler
 		var wsess *reliable.Session
 		if pol != nil {
@@ -256,8 +254,7 @@ func newDistributed(g *graph.Graph, k int, seed int64, ob *obs.Observer, plan *f
 		}
 		fspan := span.Child("oracle.flood",
 			obs.I(obs.AttrLevel, int64(i)), obs.I(obs.AttrSize, int64(len(levelSets[i]))))
-		fcfg := distsim.Config{Faults: plan, Obs: ob, Parent: fspan, GoroutinePerNode: perNode,
-			Buffers: bufs}
+		fcfg := distsim.Config{Faults: plan, Obs: ob, Parent: fspan, Buffers: bufs}
 		engineHandlers := handlers
 		var fsess *reliable.Session
 		if pol != nil {

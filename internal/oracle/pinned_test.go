@@ -23,27 +23,21 @@ var pinnedOracle = map[string]pinned.Row{
 	"isolated/3": {Rounds: 24, Messages: 9065, Words: 38465, MaxWords: 51, Hash: 0x98f4ed09ae0c2737},
 }
 
-// TestPinnedOutputs compares the distributed oracle against the pinned rows
-// in the pooled and the goroutine-per-node mode; run it with -cpu 1,2,4.
+// TestPinnedOutputs compares the distributed oracle against the pinned
+// rows; run it with -cpu 1,2,4 to cover the worker counts.
 func TestPinnedOutputs(t *testing.T) {
-	for _, perNode := range []bool{false, true} {
-		mode := "pooled"
-		if perNode {
-			mode = "per-node"
-		}
-		t.Run(mode, func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				for gname, g := range pinned.Graphs(seed) {
-					o, m, _, err := newDistributed(g, 3, seed, nil, nil, nil, perNode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pinned.Check(t, pinnedOracle, fmt.Sprintf("%s/%d", gname, seed),
-						pinRow(m, pinned.Hash(o.Spanner().Keys(), o.Words()...)))
+	t.Run("pooled", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			for gname, g := range pinned.Graphs(seed) {
+				o, m, _, err := newDistributed(g, 3, seed, nil, nil, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
+				pinned.Check(t, pinnedOracle, fmt.Sprintf("%s/%d", gname, seed),
+					pinRow(m, pinned.Hash(o.Spanner().Keys(), o.Words()...)))
 			}
-		})
-	}
+		}
+	})
 }
 
 func pinRow(m distsim.Metrics, hash uint64) pinned.Row {

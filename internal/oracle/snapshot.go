@@ -43,38 +43,28 @@ func (t *tzNode) Snapshot() []int64 {
 
 // Restore rebuilds the node from a Snapshot stream.
 func (t *tzNode) Restore(state []int64) error {
-	pos := 0
-	next := func() int64 {
-		if pos >= len(state) {
-			pos = len(state) + 1
-			return 0
-		}
-		v := state[pos]
-		pos++
-		return v
-	}
-	flags := next()
+	r := distsim.NewSnapshotReader("oracle: snapshot", state)
+	flags := r.Next()
 	t.isSource = flags&1 != 0
-	t.self = distsim.NodeID(next())
-	t.distNext = int32(next())
-	nTok := int(next())
+	t.self = distsim.NodeID(r.Next())
+	t.distNext = int32(r.Next())
+	nTok := r.Count(2)
 	t.tokens = nil
 	if flags&2 != 0 {
 		t.tokens = make(map[int32]int32, nTok)
+	} else if nTok != 0 {
+		return fmt.Errorf("oracle: nil token map with %d entries", nTok)
 	}
-	for i := 0; i < nTok; i++ {
-		u := int32(next())
-		t.tokens[u] = int32(next())
+	for range nTok {
+		u := int32(r.Next())
+		t.tokens[u] = int32(r.Next())
 	}
 	t.fresh = nil
-	if nf := int(next()); nf > 0 {
+	if nf := r.Count(1); nf > 0 {
 		t.fresh = make([]int32, 0, nf)
-		for i := 0; i < nf; i++ {
-			t.fresh = append(t.fresh, int32(next()))
+		for range nf {
+			t.fresh = append(t.fresh, int32(r.Next()))
 		}
 	}
-	if pos > len(state) {
-		return fmt.Errorf("oracle: truncated snapshot (%d words)", len(state))
-	}
-	return nil
+	return r.Err()
 }

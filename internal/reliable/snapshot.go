@@ -2,6 +2,7 @@ package reliable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -82,53 +83,47 @@ func (n *node) Snapshot() []int64 {
 
 // Restore rebuilds the wrapper (and inner handler) from a snapshot.
 func (n *node) Restore(state []int64) error {
-	r := snapCursor{buf: state}
-	n.tick = r.next()
-	n.vr = r.next()
-	n.la = r.next()
-	flags := r.next()
+	r := distsim.NewSnapshotReader("reliable: snapshot", state)
+	n.tick = r.Next()
+	n.vr = r.Next()
+	n.la = r.Next()
+	flags := r.Next()
 	n.innerHalted = flags&1 != 0
 	n.innerAwake = flags&2 != 0
 	n.started = flags&4 != 0
-	n.rng = uint64(r.next())
-	n.lastBeat = r.next()
-	atomic.StoreInt64(&n.stInnerMsgs, r.next())
-	atomic.StoreInt64(&n.stInnerWords, r.next())
-	atomic.StoreInt64(&n.stDelivered, r.next())
-	atomic.StoreInt64(&n.stMaxMsgWords, r.next())
-	atomic.StoreInt64(&n.stCapExceeded, r.next())
-	atomic.StoreInt64(&n.stVRounds, r.next())
-	atomic.StoreInt64(&n.stRetransmits, r.next())
-	atomic.StoreInt64(&n.stAcks, r.next())
-	atomic.StoreInt64(&n.stHeartbeats, r.next())
-	atomic.StoreInt64(&n.stDupBatches, r.next())
-	atomic.StoreInt64(&n.stChecksumDrops, r.next())
-	nNb := int(r.next())
+	n.rng = uint64(r.Next())
+	n.lastBeat = r.Next()
+	for _, cell := range []*int64{&n.stInnerMsgs, &n.stInnerWords, &n.stDelivered,
+		&n.stMaxMsgWords, &n.stCapExceeded, &n.stVRounds, &n.stRetransmits, &n.stAcks,
+		&n.stHeartbeats, &n.stDupBatches, &n.stChecksumDrops} {
+		atomic.StoreInt64(cell, r.Next())
+	}
+	// A link takes at least 6 words (neighbor, flags, recvContig, waitTicks
+	// and the two counts), a pending batch 5, a buffered sequence 2.
+	nNb := r.Count(6)
 	n.neighbors = make([]distsim.NodeID, 0, nNb)
 	n.links = make(map[distsim.NodeID]*link, nNb)
-	for i := 0; i < nNb; i++ {
-		nb := distsim.NodeID(r.next())
+	for range nNb {
+		nb := distsim.NodeID(r.Next())
 		n.neighbors = append(n.neighbors, nb)
 		lk := &link{recvBuf: make(map[int64][][]int64)}
-		lf := r.next()
+		lf := r.Next()
 		lk.abandoned = lf&1 != 0
-		lk.recvContig = r.next()
-		lk.waitTicks = int(r.next())
-		nPend := int(r.next())
-		for j := 0; j < nPend; j++ {
-			p := pendingBatch{seq: r.next(), retries: int(r.next()), rto: int(r.next()), due: r.next()}
-			wire := r.slice()
+		lk.recvContig = r.Next()
+		lk.waitTicks = int(r.Next())
+		for range r.Count(5) {
+			p := pendingBatch{seq: r.Next(), retries: int(r.Next()), rto: int(r.Next()), due: r.Next()}
+			wire := r.Slice()
 			p.words = len(wire)
 			lk.wires = append(lk.wires, wire...)
 			lk.pending = append(lk.pending, p)
 		}
-		nBuf := int(r.next())
-		for j := 0; j < nBuf; j++ {
-			seq := r.next()
-			k := int(r.next())
+		for range r.Count(2) {
+			seq := r.Next()
+			k := r.Count(1)
 			payloads := make([][]int64, 0, k)
-			for x := 0; x < k; x++ {
-				payloads = append(payloads, append([]int64(nil), r.slice()...))
+			for range k {
+				payloads = append(payloads, slices.Clone(r.Slice()))
 			}
 			lk.recvBuf[seq] = payloads
 		}
@@ -142,43 +137,9 @@ func (n *node) Restore(state []int64) error {
 	if !ok {
 		return fmt.Errorf("reliable: inner handler %T does not implement Snapshotter", n.inner)
 	}
-	inner := append([]int64(nil), r.slice()...)
-	if r.err != nil {
-		return r.err
+	inner := slices.Clone(r.Slice())
+	if r.Err() != nil {
+		return r.Err()
 	}
 	return snap.Restore(inner)
-}
-
-// snapCursor is a bounds-checked reader over a snapshot word stream.
-type snapCursor struct {
-	buf []int64
-	pos int
-	err error
-}
-
-func (r *snapCursor) next() int64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.buf) {
-		r.err = fmt.Errorf("reliable: truncated snapshot (offset %d)", r.pos)
-		return 0
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *snapCursor) slice() []int64 {
-	l := r.next()
-	if r.err != nil {
-		return nil
-	}
-	if l < 0 || r.pos+int(l) > len(r.buf) {
-		r.err = fmt.Errorf("reliable: corrupt snapshot length %d at offset %d", l, r.pos)
-		return nil
-	}
-	s := r.buf[r.pos : r.pos+int(l)]
-	r.pos += int(l)
-	return s
 }

@@ -1,7 +1,9 @@
 package reliable
 
+import "spanner/internal/distsim"
+
 // Wire format. Every transport message is a flat word slice whose last word
-// is an FNV-1a checksum of everything before it; a corrupted word — the
+// is distsim.ChecksumWords of everything before it; a corrupted word — the
 // faults.Plan flips at least one bit somewhere — fails the check and the
 // message is discarded, to be recovered by retransmission. The tag words
 // are far outside the small non-negative ranges inner protocols use, so a
@@ -25,24 +27,12 @@ const (
 	tagBeat  int64 = -1003
 )
 
-// fnvWords folds FNV-1a over a word slice.
-func fnvWords(words []int64) int64 {
-	h := uint64(1469598103934665603)
-	for _, w := range words {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= uint64(byte(uint64(w) >> shift))
-			h *= 1099511628211
-		}
-	}
-	return int64(h)
-}
-
 // checksumOK verifies the footer of a received frame.
 func checksumOK(w []int64) bool {
 	if len(w) < 2 {
 		return false
 	}
-	return fnvWords(w[:len(w)-1]) == w[len(w)-1]
+	return distsim.ChecksumWords(w[:len(w)-1]) == w[len(w)-1]
 }
 
 // appendBatch appends the wire image of one link batch to dst.
@@ -53,7 +43,7 @@ func appendBatch(dst []int64, seq, lastActive, cumAck int64, payloads [][]int64)
 		dst = append(dst, int64(len(p)))
 		dst = append(dst, p...)
 	}
-	return append(dst, fnvWords(dst[start:]))
+	return append(dst, distsim.ChecksumWords(dst[start:]))
 }
 
 // controlFrame is an ack or heartbeat frame, built in place: SendWords
@@ -63,7 +53,7 @@ type controlFrame [3]int64
 // encode fills f with [tag, word, checksum] and returns it as a slice.
 func (f *controlFrame) encode(tag, word int64) []int64 {
 	f[0], f[1] = tag, word
-	f[2] = fnvWords(f[:2])
+	f[2] = distsim.ChecksumWords(f[:2])
 	return f[:]
 }
 
